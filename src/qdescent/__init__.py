@@ -1,7 +1,7 @@
 """Sphere-constrained polynomial descent through a simulated quantum pipeline."""
 
 from .errors import CapacityError, DegenerateStepError, PostselectionError, PurificationError
-from .experiment import ExperimentConfig, TrajectoryRecord, benchmark_decomposition, objective_theta, overlap, run_case
+from .experiment import ExperimentConfig, benchmark_decomposition, objective_theta, overlap, run_case
 from .lcu import (
     IterationOutcome,
     IterationRecord,
@@ -31,7 +31,6 @@ from .mds import (
 )
 from .poly import (
     CoefficientSet,
-    DOperator,
     Point,
     TensorDecomposition,
     UnitaryFactor,

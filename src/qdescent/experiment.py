@@ -51,18 +51,6 @@ class ExperimentConfig:
     max_iters: int = 8
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One trajectory row; iteration 0 is the starting point (no circuit run)."""
-
-    iteration: int
-    point: Point
-    f_value: float
-    overlap: float
-    success_prob: float | None
-    fidelity: float | None = None
-
-
 def objective_theta(theta: float) -> float:
     """The circle-reduced objective -2 sin^3 t cos t."""
     return -2.0 * math.sin(theta) ** 3 * math.cos(theta)
@@ -77,48 +65,27 @@ def overlap(a: Point, b: Point) -> float:
 
 def run_case(case: str, mode: str = "exact", noise_eps: float = 0.0,
              seed: int | None = None, config: ExperimentConfig | None = None,
-             max_iters: int | None = None) -> list[TrajectoryRecord]:
-    """Full trajectory for case "s1" or "s2", starting-point row included."""
+             max_iters: int | None = None) -> list[lcu.IterationRecord]:
+    """Full trajectory for case "s1" or "s2": the starting point as iteration 0, then every step."""
     cfg = config if config is not None else ExperimentConfig()
     starts = {"s1": cfg.x0_s1, "s2": cfg.x0_s2}
     key = case.lower()
     if key not in starts:
         raise ValueError(f"unknown case {case!r}: expected 's1' or 's2'")
     x0 = starts[key]
-    budget = max_iters if max_iters is not None else cfg.max_iters
-    records = lcu.optimize(
-        cfg.decomp, x0, eta=cfg.eta, threshold=cfg.threshold, max_iters=budget,
+    start = lcu.IterationRecord(
+        iteration=0, point=x0, f_value=evaluate_objective(cfg.decomp, x0), success_prob=None,
+        overlap=overlap(x0, cfg.x_opt), fidelity=None, label="start",
+    )
+    return [start] + lcu.optimize(
+        cfg.decomp, x0, eta=cfg.eta, threshold=cfg.threshold,
+        max_iters=max_iters if max_iters is not None else cfg.max_iters,
         mode=mode, shots=None if mode == "exact" else 4096, seed=seed,
         noise_eps=noise_eps, reference=cfg.x_opt,
     )
-    rows = [TrajectoryRecord(
-        iteration=0,
-        point=x0,
-        f_value=evaluate_objective(cfg.decomp, x0),
-        overlap=overlap(x0, cfg.x_opt),
-        success_prob=None,
-    )]
-    for r in records:
-        rows.append(TrajectoryRecord(
-            iteration=r.iteration,
-            point=r.point,
-            f_value=r.f_value,
-            overlap=r.overlap if r.overlap is not None else overlap(r.point, cfg.x_opt),
-            success_prob=r.success_prob,
-            fidelity=r.fidelity,
-        ))
-    return rows
 
 
-def converged(rows: list[TrajectoryRecord], threshold: float = 1e-3) -> bool:
-    """True when the final recorded step moved less than the threshold."""
-    if len(rows) < 2:
-        return False
-    last, prev = rows[-1], rows[-2]
-    return bool(np.linalg.norm(last.point.coords - prev.point.coords) <= threshold)
-
-
-def overlap_table_csv(rows_by_case: dict[str, list[TrajectoryRecord]]) -> str:
+def overlap_table_csv(rows_by_case: dict[str, list[lcu.IterationRecord]]) -> str:
     """CSV table (iter, case, x1, x2, f, overlap, success_prob) for plotting."""
     lines = ["iter,case,x1,x2,f,overlap,success_prob"]
     for case in sorted(rows_by_case):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import poly, sim
 from .errors import DegenerateStepError, PostselectionError
-from .poly import CoefficientSet, Point, TensorDecomposition
+from .poly import Point, TensorDecomposition, UnitaryFactor
 
 
 @dataclass(frozen=True)
@@ -57,58 +57,46 @@ class IterationOutcome:
     expected_bernoulli_reps: float
     aa_reps_estimate: int
     raw_state: sim.QState
-    label: str  # "continue" | "converged"
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One optimizer step: the accepted point plus its diagnostics."""
+    """One optimizer step: the accepted point plus its diagnostics.
+
+    Iteration 0 stands for a starting point: no circuit ran, so it has no
+    success probability, and its label is "start" instead of "continue" or
+    "converged".
+    """
 
     iteration: int
     point: Point
     f_value: float
-    success_prob: float
+    success_prob: float | None
     overlap: float | None
     fidelity: float | None
     label: str
 
 
 def complete_from_first_column(col: np.ndarray) -> np.ndarray:
-    """Deterministic unitary completion of a unit first column.
+    """Real orthogonal matrix whose first column is col / ||col||.
 
-    Gram-Schmidt over the seed sequence (col, e0, e1, ...), dropping seeds
-    whose residual falls below 1e-10.
+    One Householder reflection maps e0 onto -sign(u0) * u (the sign keeps
+    w = u + sign(u0) e0 away from cancellation); its first column is then
+    overwritten with u itself, which keeps the columns orthonormal.
     """
-    col = np.asarray(col, dtype=float)
-    d = col.shape[0]
-    cols = [col / np.linalg.norm(col)]
-    for k in range(d):
-        if len(cols) == d:
-            break
-        seed = np.zeros(d)
-        seed[k] = 1.0
-        # orthogonalize twice: a single pass can leave ~1e-9 residuals when
-        # the first column carries entries near sqrt(machine eps)
-        for _ in range(2):
-            for c in cols:
-                seed = seed - (c @ seed) * c
-        norm = np.linalg.norm(seed)
-        if norm < 1e-10:
-            continue
-        cols.append(seed / norm)
-    if len(cols) != d:
-        raise ValueError("could not complete the unitary from its first column")
-    return np.column_stack(cols)
+    u = np.asarray(col, dtype=float)
+    u = u / np.linalg.norm(u)
+    w = u.copy()
+    w[0] += 1.0 if u[0] >= 0 else -1.0
+    out = np.eye(u.shape[0]) - (2.0 / (w @ w)) * np.outer(w, w)
+    out[:, 0] = u
+    return out
 
 
-def build_prepare(coeffs: CoefficientSet, eta: float) -> PrepareSpec:
-    """v0, v, signs, and beta for the prepare stage at a given step size."""
-    return _prepare_from_weights(coeffs.c, eta)
-
-
-def _prepare_from_weights(c: np.ndarray, eta: float) -> PrepareSpec:
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
+    """v0, v, signs, and beta for the prepare stage of the weights c at step size eta."""
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     c = np.asarray(c, dtype=float)
     weights = eta * np.abs(c)
     total = float(weights.sum())
@@ -133,16 +121,19 @@ def _pad_vector(x: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _pad_operator(a: np.ndarray, dim: int) -> np.ndarray:
-    out = np.eye(dim, dtype=complex)
-    n = a.shape[0]
-    out[:n, :n] = a
-    return out
+def _on_flag(u: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Apply a 2 x 2 unitary on the flag axis of a (2, 2^t1, 2^n_work) state."""
+    return (np.asarray(u, dtype=complex) @ state.reshape(2, -1)).reshape(state.shape)
 
 
-def run_lcu_step(factors: list[np.ndarray], c: np.ndarray, x_vec: np.ndarray,
+def run_lcu_step(factors: list[UnitaryFactor], c: np.ndarray, x_vec: np.ndarray,
                  eta: float) -> tuple[np.ndarray, float, sim.QState, PrepareSpec]:
     """Execute one circuit step for explicit factors and weights.
+
+    The state is held as a (flag, select, work) array of shape
+    (2, 2^t1, 2^n_work): v0 acts on the flag axis, v on the flag=1 slice,
+    and factor m on select row m of that slice, so each gate costs one
+    matmul and unitarity is left to the UnitaryFactor constructor.
 
     Returns (post-selected working vector of len(x_vec), success probability,
     pre-post-selection state, prepare spec).  The weights c may come from a
@@ -151,32 +142,26 @@ def run_lcu_step(factors: list[np.ndarray], c: np.ndarray, x_vec: np.ndarray,
     x_vec = np.asarray(x_vec, dtype=float)
     n = x_vec.shape[0]
     layout = RegisterLayout.for_problem(len(factors), n)
-    dim_work = 2**layout.n_work
-    prep = _prepare_from_weights(np.asarray(c, dtype=float), eta)
+    prep = build_prepare(c, eta)
 
-    q = layout.total_qubits
-    full = np.zeros(2**q, dtype=complex)
-    full[:dim_work] = _pad_vector(x_vec, dim_work)  # flag=0, select=0 block
-    state = sim.QState(q, full)
+    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=complex)
+    state[0, 0, :n] = x_vec
+    state = _on_flag(prep.v0, state)
+    state[1] = np.asarray(prep.v, dtype=complex) @ state[1]
+    for m, factor in enumerate(factors):
+        state[1, m, :n] = prep.signs[m] * (factor.matrix @ state[1, m, :n])
+    state[1] = np.asarray(prep.v.T, dtype=complex) @ state[1]
+    state = _on_flag(prep.v0.T, state)
+    raw = sim.QState(layout.total_qubits, state.reshape(-1))
 
-    select_qubits = list(range(1, 1 + layout.t1))
-    work_qubits = list(range(1 + layout.t1, q))
-
-    state = sim.apply_unitary(state, prep.v0, [0])
-    if layout.t1 > 0:
-        state = sim.apply_controlled(state, prep.v, [0], [1], select_qubits)
-    for m, a in enumerate(factors):
-        pattern = [1] + [(m >> (layout.t1 - 1 - j)) & 1 for j in range(layout.t1)]
-        padded = prep.signs[m] * _pad_operator(np.asarray(a, dtype=complex), dim_work)
-        state = sim.apply_controlled(state, padded, [0] + select_qubits, pattern, work_qubits)
-    if layout.t1 > 0:
-        state = sim.apply_controlled(state, prep.v.conj().T, [0], [1], select_qubits)
-    state = sim.apply_unitary(state, prep.v0.conj().T, [0])
-
-    raw = state
-    kept, prob = sim.postselect(state, [0] + select_qubits, [0] * (1 + layout.t1))
+    kept = state[0, 0]
+    prob = float(np.sum(np.abs(kept) ** 2))
+    if prep.beta * math.sqrt(prob) < 1e-14:
+        raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
+    if prob <= 1e-14:
+        raise PostselectionError(f"all-zero ancilla outcome has probability {prob:.3e}")
+    amps = kept / np.sqrt(prob)
     prob = min(prob, 1.0)  # rounding can leave the subspace weight a few ulp above 1
-    amps = kept.amps
     if np.max(np.abs(amps.imag)) > 1e-10:
         raise ValueError("post-selected state is not real; factors must be real-valued")
     vec = amps.real[:n]
@@ -190,7 +175,7 @@ def _aa_estimate(prob: float) -> int:
 
 def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
                   mode: str = "exact", shots: int | None = None,
-                  seed: int | None = None, threshold: float | None = None) -> IterationOutcome:
+                  seed: int | None = None) -> IterationOutcome:
     """One full circuit iteration from x.
 
     Exact mode post-selects analytically.  Sampled mode draws the number of
@@ -201,27 +186,19 @@ def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (shots is None or shots < 1):
         raise ValueError("sampled mode needs shots >= 1")
-    step = x.coords - eta * poly.classical_gradient(decomp, x)
-    if np.linalg.norm(step) < 1e-14:
-        raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
     coeffs = poly.coefficients(decomp, x)
-    mats = [f.matrix for f in decomp.flattened_factors()]
-    vec, prob, raw, _ = run_lcu_step(mats, coeffs.c, x.coords, eta)
+    vec, prob, raw, _ = run_lcu_step(decomp.flattened_factors(), coeffs.c, x.coords, eta)
     if mode == "sampled":
         rng = np.random.default_rng(seed)
         successes = rng.binomial(shots, prob)
         if successes == 0:
             raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
-    next_point = Point(vec)
-    aligned = vec if float(vec @ x.coords) >= 0 else -vec
-    label = "converged" if threshold is not None and np.linalg.norm(aligned - x.coords) <= threshold else "continue"
     return IterationOutcome(
-        next_point=next_point,
+        next_point=Point(vec),
         success_prob=prob,
         expected_bernoulli_reps=1.0 / prob,
         aa_reps_estimate=_aa_estimate(prob),
         raw_state=raw,
-        label=label,
     )
 
 
@@ -231,38 +208,29 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
 
     Hadamards put the select register in uniform superposition, each branch
     applies its factor to |x>, and the working register is read against the
-    |x><x| projector per select outcome.  Sampled mode draws projector
-    frequencies at the given shot count and takes each sign from the exact
-    overlap, which the magnitude-only projector cannot provide.
+    |x><x| projector per select outcome.  Every branch starts as |x> scaled
+    by one Hadamard entry per select qubit, so branch m is that vector with
+    A_m applied.  Sampled mode draws projector frequencies at the given shot
+    count and takes each sign from the exact overlap, which the
+    magnitude-only projector cannot provide.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (shots is None or shots < 1):
         raise ValueError("sampled mode needs shots >= 1")
-    kp = decomp.flat_count
-    layout = RegisterLayout.for_problem(kp, decomp.dim)
-    dim_work = 2**layout.n_work
-    xp = _pad_vector(x.coords, dim_work)
-
-    q = layout.t1 + layout.n_work
-    full = np.zeros(2**q, dtype=complex)
-    full[:dim_work] = xp
-    state = sim.QState(q, full)
-    select_qubits = list(range(layout.t1))
-    work_qubits = list(range(layout.t1, q))
-    for s in select_qubits:
-        state = sim.apply_unitary(state, sim.HADAMARD, [s])
-    mats = [f.matrix for f in decomp.flattened_factors()]
-    for m, a in enumerate(mats):
-        pattern = [(m >> (layout.t1 - 1 - j)) & 1 for j in range(layout.t1)]
-        state = sim.apply_controlled(state, _pad_operator(a, dim_work), select_qubits, pattern, work_qubits)
+    layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
+    xp = x.coords.astype(complex)
+    start = xp
+    for _ in range(layout.t1):
+        start = sim.HADAMARD[0, 0] * start
 
     rng = np.random.default_rng(seed) if mode == "sampled" else None
-    out = np.empty(kp)
-    for m in range(kp):
-        pattern = [(m >> (layout.t1 - 1 - j)) & 1 for j in range(layout.t1)]
-        branch, _ = sim.postselect(state, select_qubits, pattern)
-        overlap = complex(xp.conj() @ branch.amps)
+    out = np.empty(decomp.flat_count)
+    for m, factor in enumerate(decomp.flattened_factors()):
+        branch = factor.matrix @ start
+        # post-selecting select outcome m renormalizes its branch
+        branch = branch / np.sqrt(float(np.sum(np.abs(branch) ** 2)))
+        overlap = complex(xp.conj() @ branch)
         if abs(overlap.imag) > 1e-10:
             raise ValueError("expectation has a non-negligible imaginary part")
         exact = overlap.real
@@ -288,14 +256,14 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     records: list[IterationRecord] = []
     x = x0
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
     for t in range(1, max_iters + 1):
         step_seed = None if seed is None else seed + t
-        outcome = run_iteration(decomp, x, eta, mode, shots, step_seed, threshold)
+        outcome = run_iteration(decomp, x, eta, mode, shots, step_seed)
         y = outcome.next_point.coords
         if float(y @ x.coords) < 0:
             y = -y

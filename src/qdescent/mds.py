@@ -13,18 +13,21 @@ while the optimizer uses the corrected operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lcu
-from .poly import pauli_decompose, pauli_label_matrix
+from .poly import UnitaryFactor, pauli_decompose, pauli_label_matrix
 
 
 def _square_checked(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} entries must be finite")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
     if np.max(np.abs(np.diag(a))) > 1e-12:
@@ -166,8 +169,10 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     increase, possible with an oversized step, therefore also stops the loop
     and stays visible in the returned trace) or when max_iters is exhausted.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     x = _as_array(x0, "coords").copy()
     trace = [(x.copy(), stress(delta, w, x).total)]
     for _ in range(max_iters):
@@ -216,7 +221,7 @@ def lcu_column_demo(delta, w, x, column: int = 0, eta: float = 0.05) -> ColumnDe
     if norm < 1e-12:
         raise ValueError("selected column has zero norm")
     unit = col / norm
-    factors = [pauli_label_matrix(lbl) for lbl in labels]
+    factors = [UnitaryFactor(pauli_label_matrix(lbl)) for lbl in labels]
     vec, prob, _, _ = lcu.run_lcu_step(factors, weights, unit, eta)
     classical = unit - eta * dmat @ unit
     classical = classical / np.linalg.norm(classical)

@@ -121,16 +121,16 @@ class Point:
         c = np.asarray(self.coords, dtype=float)
         if c.ndim != 1:
             raise ValueError("point must be a 1-D real vector")
-        if abs(np.linalg.norm(c) - 1.0) > 1e-12:
-            raise ValueError("point must have unit norm within 1e-12")
+        if not abs(np.linalg.norm(c) - 1.0) <= 1e-12:  # NaN fails too
+            raise ValueError("point must be finite with unit norm within 1e-12")
         object.__setattr__(self, "coords", c)
 
     @classmethod
     def normalized(cls, coords) -> "Point":
         c = np.asarray(coords, dtype=float)
         n = np.linalg.norm(c)
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0 < n < math.inf:
+            raise ValueError("cannot normalize a zero or non-finite vector")
         return cls(c / n)
 
     @property
@@ -147,13 +147,6 @@ class CoefficientSet:
     big_m: np.ndarray   # K
     c: np.ndarray       # K*p, order m = (a-1)*p + j
     total_weight: float
-
-
-@dataclass(frozen=True)
-class DOperator:
-    """The operator D = sum_m c_m A_m evaluated at a point."""
-
-    matrix: np.ndarray
 
 
 def _as_vector(x) -> np.ndarray:
@@ -246,13 +239,13 @@ def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
     return CoefficientSet(b=b, big_m=big_m, c=c, total_weight=1.0 + float(np.sum(np.abs(c))))
 
 
-def build_d(decomp: TensorDecomposition, x) -> DOperator:
+def build_d(decomp: TensorDecomposition, x) -> np.ndarray:
     """D = sum_m c_m A_m at the given point."""
     coeff = coefficients(decomp, x)
     mat = np.zeros((decomp.dim, decomp.dim), dtype=complex)
     for c_m, factor in zip(coeff.c, decomp.flattened_factors()):
         mat += c_m * factor.matrix
-    return DOperator(matrix=mat)
+    return mat
 
 
 def classical_gradient(decomp: TensorDecomposition, x) -> np.ndarray:
@@ -263,7 +256,7 @@ def classical_gradient(decomp: TensorDecomposition, x) -> np.ndarray:
     finite-difference tests).
     """
     v = _check_dim(decomp, x)
-    g = build_d(decomp, x).matrix @ v
+    g = build_d(decomp, x) @ v
     if np.max(np.abs(g.imag)) > 1e-10:
         raise ValueError("descent direction is not real; factors must be real-symmetric-like")
     return g.real
@@ -275,8 +268,8 @@ def classical_iterate(decomp: TensorDecomposition, x: Point, eta: float) -> tupl
     Returns the new point together with the pre-normalization step norm
     ||x - eta*D*x||, which the quantum pipeline's success probability needs.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     v = _check_dim(decomp, x)
     y = v - eta * classical_gradient(decomp, x)
     n = float(np.linalg.norm(y))

@@ -33,8 +33,8 @@ class QState:
         a = np.asarray(self.amps, dtype=complex).reshape(-1)
         if a.shape[0] != 2**self.num_qubits:
             raise ValueError("amplitude count must be 2^num_qubits")
-        if abs(np.sum(np.abs(a) ** 2) - 1.0) > _NORM_TOL:
-            raise ValueError("state norm must be 1 within 1e-12")
+        if not abs(np.sum(np.abs(a) ** 2) - 1.0) <= _NORM_TOL:  # NaN fails too
+            raise ValueError("state must be finite with norm 1 within 1e-12")
         object.__setattr__(self, "amps", a)
 
     @classmethod
@@ -66,6 +66,8 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError("entries must be dim x dim")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("density matrix must be Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > 1e-10:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from qdescent.poly import decomposition_to_dict
 from qdescent.experiment import benchmark_decomposition
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 @pytest.fixture
@@ -287,3 +290,52 @@ def test_estimate_coeffs_sampled_deterministic(problem_file, capsys):
               "--mode", "sampled", "--shots", "5000", "--seed", "77"])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_output_bytes_match_golden(name, capsys):
+    # the golden files hold each invocation's stdout and exit code as captured
+    # from the gate-by-gate implementation; refactors must keep them byte for byte
+    case = GOLDEN_CASES[name]
+    inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
+    argv = [inputs.get(arg, arg) for arg in case["argv"]]
+    assert main(argv) == case["exit"]
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--eta", "nan"],
+    ["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--eta", "inf"],
+    ["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--threshold", "nan"],
+    ["optimize", "--problem", "{problem}", "--x0", "nan,0.5"],
+    ["repro", "--eta", "nan"],
+    ["repro", "--threshold", "inf"],
+    ["mds", "--delta", "{square}", "--seed", "2", "--eta", "nan"],
+    ["mds", "--delta", "{square}", "--seed", "2", "--tol", "nan"],
+    ["mds", "--delta", "{nan_delta}"],
+])
+def test_non_finite_input_exits_1(argv, tmp_path, capsys):
+    nan_delta = tmp_path / "nan.csv"
+    nan_delta.write_text("0.0,nan\nnan,0.0\n")
+    inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv"),
+              "{nan_delta}": str(nan_delta)}
+    assert main([inputs.get(arg, arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_mds_diverged_run_is_not_converged(tmp_path, capsys):
+    # at 60 points the default step overshoots: stress rises and stops the
+    # descent long before the budget runs out
+    pts = np.random.default_rng(1).standard_normal((60, 2))
+    delta = tmp_path / "d60.csv"
+    delta.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in distances(pts)) + "\n")
+    base = str(tmp_path / "diverged")
+    assert main(["mds", "--delta", str(delta), "--seed", "0", "--out", base]) == 2
+    summary = read_json(base)
+    assert summary["converged"] is False
+    assert summary["iterations"] < 200
+    with open(base + ".csv") as fh:
+        stresses = [float(line.split(",")[1]) for line in fh.read().strip().split("\n")[1:]]
+    assert stresses[-1] > stresses[-2]
+    capsys.readouterr()

@@ -6,7 +6,6 @@ import pytest
 from qdescent.experiment import (
     ExperimentConfig,
     benchmark_decomposition,
-    converged,
     objective_theta,
     overlap,
     overlap_table_csv,
@@ -79,7 +78,7 @@ def test_overlap_dimension_check():
 def test_both_cases_converge_within_budget():
     for case in ("s1", "s2"):
         rows = run_case(case)
-        assert converged(rows)
+        assert rows[-1].label == "converged"
         assert len(rows) - 1 <= 8  # row 0 is the start, not an iteration
         assert rows[-1].overlap >= 0.999
 
@@ -129,16 +128,11 @@ def test_objective_never_increases_along_either_trajectory():
 
 def test_noise_run_still_converges():
     rows = run_case("s2", noise_eps=0.1, max_iters=12)
-    assert converged(rows)
+    assert rows[-1].label == "converged"
     assert rows[-1].overlap >= 0.99
     for r in rows[1:]:
         assert r.fidelity is not None
         assert 0.0 < r.fidelity < 1.0
-
-
-def test_converged_requires_two_rows():
-    rows = run_case("s2")
-    assert not converged(rows[:1])
 
 
 def test_overlap_table_csv_shape():

@@ -224,3 +224,20 @@ def test_column_demo_rejects_bad_inputs():
         lcu_column_demo(distances(TRIANGLE), Weights.uniform(3), TRIANGLE)
     with pytest.raises(ValueError):
         lcu_column_demo(square_delta(), Weights.uniform(4), SQUARE, column=5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", [Dissimilarities, Weights])
+def test_pair_matrices_reject_non_finite_entries(kind, bad):
+    m = distances(SQUARE)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kind(m)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eta": np.nan}, {"eta": np.inf}, {"eta": -np.inf}, {"tol": np.nan}, {"tol": np.inf},
+])
+def test_mds_optimize_rejects_non_finite_step_and_tol(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        mds_optimize(square_delta(), Weights.uniform(4), SQUARE + 0.1, **kwargs)

@@ -152,7 +152,7 @@ def test_coefficient_product_law():
 
 
 def test_build_d_at_diagonal_point():
-    dmat = build_d(benchmark(), Point.normalized([1.0, 1.0])).matrix
+    dmat = build_d(benchmark(), Point.normalized([1.0, 1.0]))
     expected = np.array([[0.0, -0.5], [-0.5, -1.0]])
     assert np.allclose(dmat, expected, atol=1e-12)
 
@@ -161,12 +161,12 @@ def test_build_d_single_term_is_the_factor():
     u = UnitaryFactor.from_pauli("X")
     d = TensorDecomposition(dim=2, order_p=1, terms=[[u]], prefactor=1.0)
     rng = np.random.default_rng(5)
-    assert np.allclose(build_d(d, random_point(rng, 2)).matrix, u.matrix)
+    assert np.allclose(build_d(d, random_point(rng, 2)), u.matrix)
 
 
 def test_build_d_optimum_is_eigenvector():
     x = Point(np.array([0.5, SQ3 / 2]))
-    dmat = build_d(benchmark(), x).matrix.real
+    dmat = build_d(benchmark(), x).real
     dx = dmat @ x.coords
     lam = x.coords @ dx
     assert np.isclose(lam, -3.0 * SQ3 / 4, atol=1e-9)
@@ -210,7 +210,7 @@ def test_gradient_equals_d_applied_to_x():
         d = random_decomposition(rng)
         x = random_point(rng, d.dim)
         assert np.allclose(classical_gradient(d, x),
-                           (build_d(d, x).matrix @ x.coords).real, atol=1e-14)
+                           (build_d(d, x) @ x.coords).real, atol=1e-14)
 
 
 def test_euler_homogeneity():
@@ -300,3 +300,21 @@ def test_pauli_decompose_round_trip():
     comps = pauli_decompose(m)
     rebuilt = sum(w * pauli_label_matrix(lbl) for lbl, w in comps.items())
     assert np.allclose(rebuilt.real, m, atol=1e-10)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Point(np.array([np.nan, np.nan])),
+    lambda: Point(np.array([np.nan, 1.0])),
+    lambda: Point(np.array([np.inf, 0.0])),
+    lambda: Point.normalized([np.inf, 1.0]),
+    lambda: Point.normalized([np.nan, 1.0]),
+])
+def test_point_rejects_non_finite_coordinates(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_classical_iterate_rejects_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="finite"):
+        classical_iterate(benchmark(), Point.normalized([1.0, 1.0]), eta)

@@ -223,3 +223,17 @@ def test_density_round_trip():
     v /= np.linalg.norm(v)
     rec = purify(to_density(QState(2, v.astype(complex))))
     assert np.allclose(rec, v * np.sign(v @ rec), atol=1e-10)
+
+
+@pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.nan, np.nan], [np.inf, 0.0], [complex(0, np.nan), 1.0]])
+def test_qstate_rejects_non_finite_amplitudes(amps):
+    with pytest.raises(ValueError, match="finite"):
+        QState(1, np.array(amps, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    m = np.eye(2, dtype=complex) / 2
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(2, m)
