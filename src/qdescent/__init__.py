@@ -23,18 +23,15 @@ from .mds import (
     c_matrix,
     d_matrix,
     distances,
-    f_prime,
     lcu_column_demo,
     mds_optimize,
     stress,
-    stress_gradient,
 )
 from .poly import (
     CoefficientSet,
     Point,
     TensorDecomposition,
     UnitaryFactor,
-    build_d,
     classical_gradient,
     classical_iterate,
     coefficients,
@@ -42,9 +39,7 @@ from .poly import (
     decomposition_to_dict,
     evaluate_objective,
     expand_coefficients,
-    is_stationary,
     pauli_decompose,
-    rayleigh,
 )
 from .sim import (
     DensityMatrix,

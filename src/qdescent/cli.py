@@ -84,7 +84,6 @@ def _add_run_flags(p: argparse.ArgumentParser, eta: float, threshold: float, ite
                    help=f"stop when the step norm falls below this (default {threshold})")
     p.add_argument("--max-iters", type=int, default=iters, help=f"iteration budget (default {iters})")
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--shots", type=int, default=4096, help="shots per circuit in sampled mode")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--noise", type=float, default=0.0, metavar="EPS",
                    help="depolarizing strength applied each iteration (purified back)")
@@ -223,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--problem", required=True, help="problem JSON path")
     p_opt.add_argument("--x0", required=True, help="comma-separated starting point (renormalized)")
     _add_run_flags(p_opt, eta=1.0, threshold=1e-3, iters=100)
+    p_opt.add_argument("--shots", type=int, default=4096, help="shots per circuit in sampled mode")
 
     p_rep = sub.add_parser("repro", help="run the built-in 2-qubit benchmark cases")
     p_rep.add_argument("--case", choices=["s1", "s2", "both"], default="both")

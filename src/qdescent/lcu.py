@@ -15,16 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly, sim
-from .errors import DegenerateStepError, PostselectionError
+from .errors import CapacityError, DegenerateStepError, PostselectionError
 from .poly import Point, TensorDecomposition, UnitaryFactor
 
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit budget for a problem: select width t1 and working width n_work."""
+    """Qubit budget for a problem: select width t1 and working width n_work,
+    checked against the simulator's qubit cap before anything is allocated."""
 
     t1: int
     n_work: int
+
+    def __post_init__(self):
+        if self.total_qubits > sim.MAX_QUBITS:
+            raise CapacityError(f"layout needs {self.total_qubits} qubits (cap {sim.MAX_QUBITS})")
 
     @property
     def total_qubits(self) -> int:
@@ -56,7 +61,6 @@ class IterationOutcome:
     success_prob: float
     expected_bernoulli_reps: float
     aa_reps_estimate: int
-    raw_state: sim.QState
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def _on_flag(u: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 def run_lcu_step(factors: list[UnitaryFactor], c: np.ndarray, x_vec: np.ndarray,
-                 eta: float) -> tuple[np.ndarray, float, sim.QState, PrepareSpec]:
+                 eta: float) -> tuple[np.ndarray, float]:
     """Execute one circuit step for explicit factors and weights.
 
     The state is held as a (flag, select, work) array of shape
@@ -135,9 +139,9 @@ def run_lcu_step(factors: list[UnitaryFactor], c: np.ndarray, x_vec: np.ndarray,
     and factor m on select row m of that slice, so each gate costs one
     matmul and unitarity is left to the UnitaryFactor constructor.
 
-    Returns (post-selected working vector of len(x_vec), success probability,
-    pre-post-selection state, prepare spec).  The weights c may come from a
-    CoefficientSet or any other real linear combination of the factors.
+    Returns (post-selected working vector of len(x_vec), success probability).
+    The weights c may come from a CoefficientSet or any other real linear
+    combination of the factors.
     """
     x_vec = np.asarray(x_vec, dtype=float)
     n = x_vec.shape[0]
@@ -152,7 +156,6 @@ def run_lcu_step(factors: list[UnitaryFactor], c: np.ndarray, x_vec: np.ndarray,
         state[1, m, :n] = prep.signs[m] * (factor.matrix @ state[1, m, :n])
     state[1] = np.asarray(prep.v.T, dtype=complex) @ state[1]
     state = _on_flag(prep.v0.T, state)
-    raw = sim.QState(layout.total_qubits, state.reshape(-1))
 
     kept = state[0, 0]
     prob = float(np.sum(np.abs(kept) ** 2))
@@ -166,7 +169,7 @@ def run_lcu_step(factors: list[UnitaryFactor], c: np.ndarray, x_vec: np.ndarray,
         raise ValueError("post-selected state is not real; factors must be real-valued")
     vec = amps.real[:n]
     vec = vec / np.linalg.norm(vec)
-    return vec, prob, raw, prep
+    return vec, prob
 
 
 def _aa_estimate(prob: float) -> int:
@@ -187,7 +190,7 @@ def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
     if mode == "sampled" and (shots is None or shots < 1):
         raise ValueError("sampled mode needs shots >= 1")
     coeffs = poly.coefficients(decomp, x)
-    vec, prob, raw, _ = run_lcu_step(decomp.flattened_factors(), coeffs.c, x.coords, eta)
+    vec, prob = run_lcu_step(decomp.flattened_factors(), coeffs.c, x.coords, eta)
     if mode == "sampled":
         rng = np.random.default_rng(seed)
         successes = rng.binomial(shots, prob)
@@ -198,7 +201,6 @@ def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
         success_prob=prob,
         expected_bernoulli_reps=1.0 / prob,
         aa_reps_estimate=_aa_estimate(prob),
-        raw_state=raw,
     )
 
 
@@ -258,6 +260,8 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
         raise ValueError("max_iters must be >= 1")
     if not 0 < threshold < math.inf:
         raise ValueError("threshold must be positive and finite")
+    if not 0 <= noise_eps <= 1:  # NaN fails too
+        raise ValueError("noise strength must lie in [0, 1]")
     records: list[IterationRecord] = []
     x = x0
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)

@@ -144,21 +144,9 @@ def d_matrix(delta, w, x) -> np.ndarray:
     return c_matrix(w) - 2.0 * b_matrix(delta, w, x)
 
 
-def f_prime(delta, w, x) -> float:
-    """tr(Xᵀ D(X) X), the non-constant stress part -2g + h²."""
-    pts = _as_array(x, "coords")
-    return float(np.trace(pts.T @ d_matrix(delta, w, x) @ pts))
-
-
 def descent_operator(delta, w, x) -> np.ndarray:
     """C - B(X): the operator whose application steps X down the stress slope."""
     return c_matrix(w) - b_matrix(delta, w, x)
-
-
-def stress_gradient(delta, w, x) -> np.ndarray:
-    """Exact stress derivative 2 (C - B(X)) X (checks out against finite differences)."""
-    pts = _as_array(x, "coords")
-    return 2.0 * descent_operator(delta, w, x) @ pts
 
 
 def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
@@ -173,6 +161,8 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
         raise ValueError("eta must be positive and finite")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     x = _as_array(x0, "coords").copy()
     trace = [(x.copy(), stress(delta, w, x).total)]
     for _ in range(max_iters):
@@ -210,6 +200,9 @@ def lcu_column_demo(delta, w, x, column: int = 0, eta: float = 0.05) -> ColumnDe
         raise ValueError("column demo needs a power-of-two point count")
     if not 0 <= column < pts.shape[1]:
         raise ValueError("column index out of range")
+    # a real symmetric D spans at most the n(n+1)/2 real symmetric Pauli
+    # strings; a layout past the qubit cap fails before any string is built
+    lcu.RegisterLayout.for_problem(n * (n + 1) // 2, n)
     dmat = d_matrix(delta, w, pts)
     comps = pauli_decompose(dmat)
     if not comps:
@@ -222,7 +215,7 @@ def lcu_column_demo(delta, w, x, column: int = 0, eta: float = 0.05) -> ColumnDe
         raise ValueError("selected column has zero norm")
     unit = col / norm
     factors = [UnitaryFactor(pauli_label_matrix(lbl)) for lbl in labels]
-    vec, prob, _, _ = lcu.run_lcu_step(factors, weights, unit, eta)
+    vec, prob = lcu.run_lcu_step(factors, weights, unit, eta)
     classical = unit - eta * dmat @ unit
     classical = classical / np.linalg.norm(classical)
     return ColumnDemoResult(

@@ -6,8 +6,9 @@ An objective of even order 2p is held as
 
 with every factor ``A_i^a`` unitary.  From a point x the module derives the
 Rayleigh quotients b, their per-term products M, the linear-combination
-weights c, and the operator D = sum_m c_m A_m whose action on x is the descent
-direction used by both the classical oracle iteration and the quantum pipeline.
+weights c, and the descent direction D x = sum_m c_m A_m x used by both the
+classical oracle iteration and the quantum pipeline.  One pass over the
+factors forms every A_m x, which gives b and D x alike; D is never built.
 """
 
 from __future__ import annotations
@@ -140,21 +141,18 @@ class Point:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Rayleigh quotients b, per-term products M, flattened weights c, and the
-    normalizer beta = 1 + sum |c_m|."""
+    """Rayleigh quotients b, per-term products M, flattened weights c, the
+    normalizer beta = 1 + sum |c_m|, and the descent direction D x."""
 
     b: np.ndarray       # K x p
     big_m: np.ndarray   # K
     c: np.ndarray       # K*p, order m = (a-1)*p + j
     total_weight: float
-
-
-def _as_vector(x) -> np.ndarray:
-    return x.coords if isinstance(x, Point) else np.asarray(x, dtype=float)
+    direction: np.ndarray  # N, sum_m c_m A_m x (complex; real for real-symmetric factors)
 
 
 def _check_dim(decomp: TensorDecomposition, x) -> np.ndarray:
-    v = _as_vector(x)
+    v = x.coords if isinstance(x, Point) else np.asarray(x, dtype=float)
     if v.shape != (decomp.dim,):
         raise ValueError(f"point dimension {v.shape} does not match decomposition dim {decomp.dim}")
     return v
@@ -184,6 +182,19 @@ def expand_coefficients(decomp: TensorDecomposition) -> np.ndarray:
     return out.real
 
 
+def _factor_pass(decomp: TensorDecomposition, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the factors: the rows y_m = A_m x and the K x p quotients b_m = x . y_m."""
+    ys = np.array([f.matrix @ v for f in decomp.flattened_factors()])
+    b = np.empty(len(ys))
+    # one dot per row: a stacked ys @ v rounds differently, and b sets the output bytes
+    for m, y in enumerate(ys):
+        val = v @ y
+        if abs(val.imag) > 1e-12:
+            raise ValueError("quadratic form has a non-negligible imaginary part")
+        b[m] = val.real
+    return b.reshape(decomp.num_terms, decomp.order_p), ys
+
+
 def evaluate_objective(decomp: TensorDecomposition, x) -> float:
     """f(x) = s * sum_a prod_i (x^T A_i^a x).
 
@@ -191,42 +202,25 @@ def evaluate_objective(decomp: TensorDecomposition, x) -> float:
     which finite-difference checks rely on.
     """
     v = _check_dim(decomp, x)
+    b, _ = _factor_pass(decomp, v)
     total = 0.0
-    for term in decomp.terms:
+    for row in b.tolist():
         prod = 1.0
-        for f in term:
-            prod *= _real_quadratic_form(f.matrix, v)
+        for b_m in row:
+            prod *= b_m
         total += prod
     return decomp.prefactor * total
 
 
-def _real_quadratic_form(m: np.ndarray, v: np.ndarray) -> float:
-    val = v @ m @ v
-    if abs(val.imag) > 1e-12:
-        raise ValueError("quadratic form has a non-negligible imaginary part")
-    return float(val.real)
-
-
-def rayleigh(factor: UnitaryFactor, x) -> float:
-    """The expectation b = x^T A x for a real point."""
-    v = _as_vector(x)
-    if v.shape != (factor.dim,):
-        raise ValueError("point dimension does not match factor dimension")
-    return _real_quadratic_form(factor.matrix, v)
-
-
 def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
-    """b, M, and the flattened weights c_m = s * prod_{i != j} b_i^a.
+    """b, M, the flattened weights c_m = s * prod_{i != j} b_i^a, and D x = sum_m c_m A_m x.
 
     The weights are built by direct product over the other factors of the
     term, never by dividing M by b_j, so zero quotients are well defined.
     """
     v = _check_dim(decomp, x)
+    b, ys = _factor_pass(decomp, v)
     k, p = decomp.num_terms, decomp.order_p
-    b = np.empty((k, p))
-    for a, term in enumerate(decomp.terms):
-        for j, f in enumerate(term):
-            b[a, j] = _real_quadratic_form(f.matrix, v)
     big_m = np.prod(b, axis=1)
     c = np.empty(k * p)
     for a in range(k):
@@ -236,16 +230,8 @@ def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
                 if i != j:
                     prod *= b[a, i]
             c[a * p + j] = prod
-    return CoefficientSet(b=b, big_m=big_m, c=c, total_weight=1.0 + float(np.sum(np.abs(c))))
-
-
-def build_d(decomp: TensorDecomposition, x) -> np.ndarray:
-    """D = sum_m c_m A_m at the given point."""
-    coeff = coefficients(decomp, x)
-    mat = np.zeros((decomp.dim, decomp.dim), dtype=complex)
-    for c_m, factor in zip(coeff.c, decomp.flattened_factors()):
-        mat += c_m * factor.matrix
-    return mat
+    return CoefficientSet(b=b, big_m=big_m, c=c, total_weight=1.0 + float(np.sum(np.abs(c))),
+                          direction=c @ ys)
 
 
 def classical_gradient(decomp: TensorDecomposition, x) -> np.ndarray:
@@ -255,8 +241,7 @@ def classical_gradient(decomp: TensorDecomposition, x) -> np.ndarray:
     twice this vector; the factor 2 is left to callers (and is covered by the
     finite-difference tests).
     """
-    v = _check_dim(decomp, x)
-    g = build_d(decomp, x) @ v
+    g = coefficients(decomp, x).direction
     if np.max(np.abs(g.imag)) > 1e-10:
         raise ValueError("descent direction is not real; factors must be real-symmetric-like")
     return g.real
@@ -276,15 +261,6 @@ def classical_iterate(decomp: TensorDecomposition, x: Point, eta: float) -> tupl
     if n < 1e-14:
         raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
     return Point(y / n), n
-
-
-def is_stationary(decomp: TensorDecomposition, x, tol: float) -> bool:
-    """True iff D x is parallel to x (the constrained first-order condition)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    v = _check_dim(decomp, x)
-    g = classical_gradient(decomp, x)
-    return bool(np.linalg.norm(g - (v @ g) * v) <= tol)
 
 
 def pauli_label_matrix(label: str) -> np.ndarray:

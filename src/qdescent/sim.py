@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CapacityError, PostselectionError, PurificationError
 
-_MAX_QUBITS = 20
+MAX_QUBITS = 20  # dense amplitudes: 2^20 complex values are 16 MiB
 _NORM_TOL = 1e-12
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -28,8 +28,8 @@ class QState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.num_qubits <= _MAX_QUBITS:
-            raise CapacityError(f"qubit count {self.num_qubits} outside [0, {_MAX_QUBITS}]")
+        if not 0 <= self.num_qubits <= MAX_QUBITS:
+            raise CapacityError(f"qubit count {self.num_qubits} outside [0, {MAX_QUBITS}]")
         a = np.asarray(self.amps, dtype=complex).reshape(-1)
         if a.shape[0] != 2**self.num_qubits:
             raise ValueError("amplitude count must be 2^num_qubits")
@@ -42,17 +42,6 @@ class QState:
         a = np.zeros(2**num_qubits, dtype=complex)
         a[0] = 1.0
         return cls(num_qubits, a)
-
-    @classmethod
-    def from_amplitudes(cls, amps) -> "QState":
-        a = np.asarray(amps, dtype=complex).reshape(-1)
-        q = int(np.log2(a.shape[0]).round())
-        if 2**q != a.shape[0]:
-            raise ValueError("amplitude count must be a power of two")
-        return cls(q, a)
-
-    def to_json_amps(self) -> list:
-        return [[float(z.real), float(z.imag)] for z in self.amps]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from qdescent.lcu import estimate_b, run_iteration
 from qdescent.mds import Weights, b_matrix, c_matrix, distances, mds_optimize, stress
 from qdescent.poly import (
     Point,
-    build_d,
     classical_gradient,
     classical_iterate,
     coefficients,

@@ -339,3 +339,28 @@ def test_mds_diverged_run_is_not_converged(tmp_path, capsys):
         stresses = [float(line.split(",")[1]) for line in fh.read().strip().split("\n")[1:]]
     assert stresses[-1] > stresses[-2]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["repro", "--noise", "-0.1"], "noise strength must lie in [0, 1]"),
+    (["repro", "--noise", "nan"], "noise strength must lie in [0, 1]"),
+    (["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--noise", "1.5"],
+     "noise strength must lie in [0, 1]"),
+    (["mds", "--delta", "{square}", "--seed", "2", "--max-iters", "0"], "max_iters must be >= 1"),
+    (["mds", "--delta", "{square}", "--seed", "2", "--max-iters", "-3"], "max_iters must be >= 1"),
+    (["repro", "--shots", "10"], "unrecognized arguments: --shots 10"),
+], ids=["repro-noise-negative", "repro-noise-nan", "optimize-noise-above-one", "mds-iters-zero",
+        "mds-iters-negative", "repro-shots"])
+def test_out_of_range_input_exits_1(argv, message, capsys):
+    inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
+    assert main([inputs.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_optimize_sampled_takes_shots(capsys):
+    argv = ["optimize", "--problem", str(GOLDEN / "problem.json"), "--x0", "0.86,0.50",
+            "--mode", "sampled", "--shots", "64", "--seed", "1", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "sampled"

@@ -11,7 +11,7 @@ from qdescent.experiment import (
     overlap_table_csv,
     run_case,
 )
-from qdescent.poly import Point, evaluate_objective, is_stationary
+from qdescent.poly import Point, classical_gradient, evaluate_objective
 
 SQ3 = math.sqrt(3.0)
 
@@ -49,8 +49,10 @@ def test_stationary_detector_agrees_with_circle_derivative():
         s, c = math.sin(theta), math.cos(theta)
         df = -2.0 * s * s * (3 * c * c - s * s)
         # the tangential residual of Dx is |df/dtheta| / 2
-        expect = abs(df) / 2 <= 1e-8
-        assert is_stationary(d, circle_point(theta), tol=1e-8) == expect
+        x = circle_point(theta).coords
+        g = classical_gradient(d, x)
+        residual = np.linalg.norm(g - (x @ g) * x)
+        assert (residual <= 1e-8) == (abs(df) / 2 <= 1e-8)
 
 
 def test_config_points_are_unit_norm():

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from qdescent.errors import CapacityError
 from qdescent.mds import (
     Configuration,
     Dissimilarities,
@@ -10,11 +13,9 @@ from qdescent.mds import (
     d_matrix,
     descent_operator,
     distances,
-    f_prime,
     lcu_column_demo,
     mds_optimize,
     stress,
-    stress_gradient,
 )
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -94,7 +95,7 @@ def test_operators_vanish_without_weights():
     w = np.zeros((4, 4))
     assert np.allclose(b_matrix(square_delta(), w, SQUARE), 0.0)
     assert np.allclose(c_matrix(w), 0.0)
-    assert f_prime(square_delta(), w, SQUARE) == 0.0
+    assert np.trace(SQUARE.T @ d_matrix(square_delta(), w, SQUARE) @ SQUARE) == 0.0
 
 
 def test_coincident_points_drop_out_of_b():
@@ -131,14 +132,15 @@ def test_trace_identities():
         c = c_matrix(w)
         assert np.isclose(np.trace(x.T @ b @ x), s.g, atol=1e-10)
         assert np.isclose(np.trace(x.T @ c @ x), s.h_squared, atol=1e-10)
-        assert np.isclose(f_prime(delta, w, x), -2 * s.g + s.h_squared, atol=1e-10)
-        assert np.isclose(s.total, s.const + f_prime(delta, w, x), atol=1e-10)
+        f_prime = np.trace(x.T @ d_matrix(delta, w, x) @ x)
+        assert np.isclose(f_prime, -2 * s.g + s.h_squared, atol=1e-10)
+        assert np.isclose(s.total, s.const + f_prime, atol=1e-10)
 
 
 def test_f_prime_at_perfect_embedding_cancels_const():
     s = stress(square_delta(), Weights.uniform(4), SQUARE)
-    assert np.isclose(f_prime(square_delta(), Weights.uniform(4), SQUARE),
-                      -s.const, atol=1e-10)
+    d = d_matrix(square_delta(), Weights.uniform(4), SQUARE)
+    assert np.isclose(np.trace(SQUARE.T @ d @ SQUARE), -s.const, atol=1e-10)
 
 
 def test_translation_invariance():
@@ -148,8 +150,8 @@ def test_translation_invariance():
     x = rng.standard_normal((4, 2))
     shift = x + np.array([3.7, -1.2])
     assert np.isclose(stress(delta, w, x).total, stress(delta, w, shift).total, atol=1e-10)
-    assert np.allclose(stress_gradient(delta, w, x),
-                       stress_gradient(delta, w, shift), atol=1e-10)
+    assert np.allclose(2 * descent_operator(delta, w, x) @ x,
+                       2 * descent_operator(delta, w, shift) @ shift, atol=1e-10)
 
 
 def test_stress_gradient_matches_finite_differences():
@@ -157,7 +159,7 @@ def test_stress_gradient_matches_finite_differences():
     delta = square_delta()
     w = Weights.uniform(4)
     x = SQUARE + 0.3 * rng.standard_normal(SQUARE.shape)
-    g = stress_gradient(delta, w, x)
+    g = 2 * descent_operator(delta, w, x) @ x
     h = 1e-6
     for i in range(4):
         for j in range(2):
@@ -167,14 +169,6 @@ def test_stress_gradient_matches_finite_differences():
             xm[i, j] -= h
             fd = (stress(delta, w, xp).total - stress(delta, w, xm).total) / (2 * h)
             assert np.isclose(g[i, j], fd, atol=1e-5)
-
-
-def test_descent_operator_halves_gradient():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((4, 2))
-    g = stress_gradient(square_delta(), Weights.uniform(4), x)
-    step = descent_operator(square_delta(), Weights.uniform(4), x) @ x
-    assert np.allclose(g, 2.0 * step, atol=1e-12)
 
 
 def test_optimize_keeps_perfect_embedding():
@@ -208,6 +202,12 @@ def test_optimize_validates_eta():
         mds_optimize(square_delta(), Weights.uniform(4), SQUARE, eta=0.0)
 
 
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_optimize_rejects_empty_budget(max_iters):
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        mds_optimize(square_delta(), Weights.uniform(4), SQUARE + 0.1, max_iters=max_iters)
+
+
 def test_column_demo_matches_classical_step():
     rng = np.random.default_rng(8)
     x = SQUARE + 0.2 * rng.standard_normal(SQUARE.shape)
@@ -217,6 +217,17 @@ def test_column_demo_matches_classical_step():
         assert np.allclose(res.quantum_point, res.classical_point, atol=1e-10)
         assert 0.0 < res.success_prob <= 1.0
         assert np.isclose(np.linalg.norm(res.quantum_point), 1.0, atol=1e-12)
+
+
+def test_column_demo_past_qubit_cap_fails_fast():
+    # 128 points: up to 8256 Pauli strings (14 select qubits) on 7 work qubits,
+    # 22 qubits in all, rejected before any string is built
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((128, 2))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        lcu_column_demo(distances(rng.standard_normal((128, 2))), Weights.uniform(128), x)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_column_demo_rejects_bad_inputs():

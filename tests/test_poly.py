@@ -9,7 +9,6 @@ from qdescent.poly import (
     Point,
     TensorDecomposition,
     UnitaryFactor,
-    build_d,
     classical_gradient,
     classical_iterate,
     coefficients,
@@ -17,10 +16,8 @@ from qdescent.poly import (
     decomposition_to_dict,
     evaluate_objective,
     expand_coefficients,
-    is_stationary,
     pauli_decompose,
     pauli_label_matrix,
-    rayleigh,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -109,13 +106,6 @@ def test_objective_benchmark_values():
         assert abs(evaluate_objective(d, x) - expected) <= 1e-12
 
 
-def test_rayleigh_values():
-    assert rayleigh(UnitaryFactor.from_pauli("Z"), Point(np.array([1.0, 0.0]))) == 1.0
-    assert np.isclose(rayleigh(UnitaryFactor.from_pauli("X"), Point.normalized([1, 1])), 1.0)
-    rng = np.random.default_rng(0)
-    assert np.isclose(rayleigh(UnitaryFactor.from_pauli("-I"), random_point(rng, 2)), -1.0)
-
-
 def test_coefficients_at_diagonal_point():
     cs = coefficients(benchmark(), Point.normalized([1.0, 1.0]))
     assert np.allclose(cs.b, [[-1.0, 1.0], [1.0, 0.0]], atol=1e-12)
@@ -151,23 +141,9 @@ def test_coefficient_product_law():
                     assert abs(cs.c[a * d.order_p + j] * b - d.prefactor * cs.big_m[a]) <= 1e-10
 
 
-def test_build_d_at_diagonal_point():
-    dmat = build_d(benchmark(), Point.normalized([1.0, 1.0]))
-    expected = np.array([[0.0, -0.5], [-0.5, -1.0]])
-    assert np.allclose(dmat, expected, atol=1e-12)
-
-
-def test_build_d_single_term_is_the_factor():
-    u = UnitaryFactor.from_pauli("X")
-    d = TensorDecomposition(dim=2, order_p=1, terms=[[u]], prefactor=1.0)
-    rng = np.random.default_rng(5)
-    assert np.allclose(build_d(d, random_point(rng, 2)), u.matrix)
-
-
 def test_build_d_optimum_is_eigenvector():
     x = Point(np.array([0.5, SQ3 / 2]))
-    dmat = build_d(benchmark(), x).real
-    dx = dmat @ x.coords
+    dx = classical_gradient(benchmark(), x)
     lam = x.coords @ dx
     assert np.isclose(lam, -3.0 * SQ3 / 4, atol=1e-9)
     assert np.allclose(dx, lam * x.coords, atol=1e-9)
@@ -202,15 +178,6 @@ def test_gradient_matches_finite_differences():
             fd[i] = (evaluate_objective(d, x.coords + e) - evaluate_objective(d, x.coords - e)) / (2 * h)
         assert np.all(np.abs(fd - target) <= 1e-5 * np.maximum(1.0, np.abs(target)))
         checked += 1
-
-
-def test_gradient_equals_d_applied_to_x():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        d = random_decomposition(rng)
-        x = random_point(rng, d.dim)
-        assert np.allclose(classical_gradient(d, x),
-                           (build_d(d, x) @ x.coords).real, atol=1e-14)
 
 
 def test_euler_homogeneity():
@@ -255,17 +222,11 @@ def test_fixed_point_law_on_random_stationary_points():
         d = TensorDecomposition(dim=4, order_p=1, terms=[[UnitaryFactor(u)]], prefactor=1.0)
         vals, vecs = np.linalg.eigh(u)
         x = Point.normalized(vecs[:, 0])
-        assert is_stationary(d, x, 1e-10)
+        g = classical_gradient(d, x)
+        assert np.linalg.norm(g - (x.coords @ g) * x.coords) <= 1e-10
         if abs(x.coords @ classical_gradient(d, x) - 1.0) > 1e-6:
             nxt, _ = classical_iterate(d, x, 1.0)
             assert np.allclose(aligned(nxt.coords, x.coords), x.coords, atol=1e-9)
-
-
-def test_is_stationary_benchmark_points():
-    d = benchmark()
-    assert is_stationary(d, Point(np.array([0.5, SQ3 / 2])), 1e-6)
-    assert is_stationary(d, Point(np.array([1.0, 0.0])), 1e-6)
-    assert not is_stationary(d, Point.normalized([1.0, 1.0]), 1e-3)
 
 
 def test_json_round_trip_paulis_and_dense():
