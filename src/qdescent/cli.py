@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import experiment, lcu, mds, poly
-from .errors import DegenerateStepError, PostselectionError, PurificationError
+from .errors import CapacityError, DegenerateStepError, PostselectionError, PurificationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (OSError, ValueError, json.JSONDecodeError, DegenerateStepError,
+    except (OSError, ValueError, json.JSONDecodeError, CapacityError, DegenerateStepError,
             PostselectionError, PurificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

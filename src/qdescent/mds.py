@@ -101,20 +101,25 @@ def distances(x) -> np.ndarray:
     return np.sqrt(np.sum(diff**2, axis=2))
 
 
+def _same_points(delta, w, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dl, wt, pts = _as_array(delta, "delta"), _as_array(w, "w"), _as_array(x, "coords")
+    if pts.ndim != 2 or not dl.shape == wt.shape == (len(pts), len(pts)):
+        raise ValueError(f"delta {dl.shape}, weights {wt.shape} and configuration {pts.shape} disagree")
+    return dl, wt, pts
+
+
 def stress(delta, w, x) -> StressBreakdown:
     """½ΣΣ w (d - δ)² together with its decomposition parts."""
-    dl = _as_array(delta, "delta")
-    wt = _as_array(w, "w")
-    if dl.shape != wt.shape:
-        raise ValueError("delta and weights must share a shape")
-    d = distances(x)
-    if d.shape != dl.shape:
-        raise ValueError("configuration size does not match delta")
-    total = 0.5 * float(np.sum(wt * (d - dl) ** 2))
+    dl, wt, pts = _same_points(delta, w, x)
+    d = distances(pts)
     const = 0.5 * float(np.sum(wt * dl**2))
     g = 0.5 * float(np.sum(wt * dl * d))
     h2 = 0.5 * float(np.sum(wt * d**2))
-    return StressBreakdown(total=total, const=const, g=g, h_squared=h2)
+    return StressBreakdown(total=_stress_total(dl, wt, d), const=const, g=g, h_squared=h2)
+
+
+def _stress_total(dl: np.ndarray, wt: np.ndarray, d: np.ndarray) -> float:
+    return 0.5 * float(np.sum(wt * (d - dl) ** 2))
 
 
 def _laplacian(coef: np.ndarray) -> np.ndarray:
@@ -126,9 +131,10 @@ def _laplacian(coef: np.ndarray) -> np.ndarray:
 
 def b_matrix(delta, w, x) -> np.ndarray:
     """B(X) = ½ΣΣ w δ k A_ij with k = 1/d where d > 0, else 0."""
-    dl = _as_array(delta, "delta")
-    wt = _as_array(w, "w")
-    d = distances(x)
+    return _b_from_distances(_as_array(delta, "delta"), _as_array(w, "w"), distances(x))
+
+
+def _b_from_distances(dl: np.ndarray, wt: np.ndarray, d: np.ndarray) -> np.ndarray:
     k = np.zeros_like(d)
     np.divide(1.0, d, out=k, where=d > 0)
     return _laplacian(wt * dl * k)
@@ -163,11 +169,13 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
         raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    x = _as_array(x0, "coords").copy()
-    trace = [(x.copy(), stress(delta, w, x).total)]
+    dl, wt, x = _same_points(delta, w, x0)
+    c, d = c_matrix(wt), distances(x)
+    trace = [(x.copy(), _stress_total(dl, wt, d))]
     for _ in range(max_iters):
-        x = x - eta * descent_operator(delta, w, x) @ x
-        value = stress(delta, w, x).total
+        x = x - eta * (c - _b_from_distances(dl, wt, d)) @ x
+        d = distances(x)  # gives this step's stress and the next step's B(X)
+        value = _stress_total(dl, wt, d)
         trace.append((x.copy(), value))
         if trace[-2][1] - value < tol:
             break

@@ -33,6 +33,7 @@ PAULI_BY_LABEL = {
     "Y": PAULI_Y,
     "Z": PAULI_Z,
 }
+_PAULI_HALF_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1) / 2  # sigma^T / 2
 
 _UNITARITY_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
@@ -264,11 +265,16 @@ def classical_iterate(decomp: TensorDecomposition, x: Point, eta: float) -> tupl
 
 
 def pauli_label_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a multi-qubit Pauli string such as "XZ" or "IY"."""
-    mats = [PAULI_BY_LABEL[ch] for ch in label]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
+    """Dense matrix of a Pauli string such as "XZ": the phased permutation whose row r holds
+    (-i)^#Y * (-1)^popcount(r & zmask) in column r ^ xmask, qubit 0 the most significant bit."""
+    if set(label) - set("IXYZ"):
+        raise ValueError(f"unknown Pauli string {label!r}")
+    shifts = np.arange(len(label) - 1, -1, -1)
+    xmask, zmask = (sum(1 << int(s) for ch, s in zip(label, shifts) if ch in on) for on in ("XY", "YZ"))
+    r = np.arange(2 ** len(label))
+    parity = (((r & zmask)[:, None] >> shifts) & 1).sum(axis=1) & 1
+    out = np.zeros((r.size, r.size), dtype=complex)
+    out[r, r ^ xmask] = (1, -1j, -1, 1j)[label.count("Y") % 4] * (1 - 2 * parity)
     return out
 
 
@@ -277,21 +283,22 @@ def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> dict[str, float]:
 
     Works on 2^q x 2^q real symmetric matrices; coefficients are
     tr(P M) / 2^q and strings with (numerically) zero weight are dropped.
+    The trace factorizes over qubits: each qubit's (row, column) axis pair is contracted with the
+    stacked sigma^T / 2, appending a Pauli axis, in O(q 4^q) with no string built (arXiv:2310.13421).
     """
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
     q = int(round(math.log2(n)))
     if m.shape != (n, n) or 2**q != n:
         raise ValueError("matrix must be square with power-of-two dimension")
-    out: dict[str, float] = {}
-    for combo in itertools.product("IXYZ", repeat=q):
-        label = "".join(combo)
-        coeff = np.trace(pauli_label_matrix(label) @ m) / n
-        if abs(coeff.imag) > 1e-9:
-            raise ValueError("matrix is not symmetric real: complex Pauli weight found")
-        if abs(coeff.real) > tol:
-            out[label] = float(coeff.real)
-    return out
+    t = m.reshape((2,) * (2 * q)).transpose(np.arange(2 * q).reshape(2, q).T.ravel())  # r0, c0, r1, ...
+    for _ in range(q):
+        t = np.tensordot(t, _PAULI_HALF_T, axes=([0, 1], [1, 2]))
+    coeffs = t.reshape(-1)  # in itertools.product("IXYZ") order
+    if np.max(np.abs(coeffs.imag)) > 1e-9:
+        raise ValueError("matrix is not symmetric real: complex Pauli weight found")
+    labels = ("".join(combo) for combo in itertools.product("IXYZ", repeat=q))
+    return {lbl: float(w) for lbl, w in zip(labels, coeffs.real) if abs(w) > tol}
 
 
 def factor_to_dict(factor: UnitaryFactor) -> dict:

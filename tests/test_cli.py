@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdescent import sim
 from qdescent.cli import main
 from qdescent.mds import distances
 from qdescent.poly import decomposition_to_dict
@@ -364,3 +365,13 @@ def test_optimize_sampled_takes_shots(capsys):
             "--mode", "sampled", "--shots", "64", "--seed", "1", "--format", "json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
+
+
+@pytest.mark.parametrize("command", ["optimize", "estimate-coeffs"])
+def test_layout_past_qubit_cap_exits_1(command, monkeypatch, capsys):
+    # the golden problem (N=2, K*p=4) needs 1 flag + 2 select + 1 work qubit
+    monkeypatch.setattr(sim, "MAX_QUBITS", 3)
+    assert main([command, "--problem", str(GOLDEN / "problem.json"), "--x0", "0.86,0.50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: layout needs 4 qubits" in captured.err

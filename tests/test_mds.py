@@ -208,6 +208,48 @@ def test_optimize_rejects_empty_budget(max_iters):
         mds_optimize(square_delta(), Weights.uniform(4), SQUARE + 0.1, max_iters=max_iters)
 
 
+def reference_descent(delta, w, x0, eta=0.05, max_iters=200, tol=1e-9):
+    """The descent loop on the public operators: descent_operator and stress on every step."""
+    x = np.array(x0, dtype=float)
+    trace = [(x.copy(), stress(delta, w, x).total)]
+    for _ in range(max_iters):
+        x = x - eta * descent_operator(delta, w, x) @ x
+        value = stress(delta, w, x).total
+        trace.append((x.copy(), value))
+        if trace[-2][1] - value < tol:
+            break
+    return trace
+
+
+@pytest.mark.parametrize("n, uniform", [(4, True), (16, True), (33, True), (16, False)])
+def test_optimize_matches_public_operator_step(n, uniform):
+    rng = np.random.default_rng(100 + n + uniform)
+    delta = Dissimilarities(distances(rng.standard_normal((n, 2))))
+    if uniform:
+        w = Weights.uniform(n)
+    else:
+        a = rng.uniform(0.1, 0.6, (n, n))
+        w = Weights((a + a.T) * (1.0 - np.eye(n)))
+    x0 = rng.standard_normal((n, 2))
+    expected = reference_descent(delta, w, x0)
+    trace = mds_optimize(delta, w, x0)
+    assert len(trace) == len(expected) > 2
+    for (x, value), (x_ref, value_ref) in zip(trace, expected):
+        assert (x == x_ref).all()
+        assert value == value_ref
+
+
+@pytest.mark.parametrize("delta, w, x0", [
+    (distances(SQUARE), Weights.uniform(3), SQUARE),
+    (distances(TRIANGLE), Weights.uniform(4), SQUARE),
+    (distances(SQUARE), Weights.uniform(4), TRIANGLE),
+    (distances(SQUARE), Weights.uniform(4), SQUARE[:, 0]),
+], ids=["weights-3", "delta-3", "config-3", "config-1d"])
+def test_optimize_rejects_mismatched_sizes(delta, w, x0):
+    with pytest.raises(ValueError, match="delta .* weights .* configuration .* disagree"):
+        mds_optimize(delta, w, x0)
+
+
 def test_column_demo_matches_classical_step():
     rng = np.random.default_rng(8)
     x = SQUARE + 0.2 * rng.standard_normal(SQUARE.shape)
@@ -217,6 +259,16 @@ def test_column_demo_matches_classical_step():
         assert np.allclose(res.quantum_point, res.classical_point, atol=1e-10)
         assert 0.0 < res.success_prob <= 1.0
         assert np.isclose(np.linalg.norm(res.quantum_point), 1.0, atol=1e-12)
+
+
+def test_column_demo_matches_classical_step_at_32_points():
+    # 528 real symmetric strings, Y pairs among them, on 16 qubits
+    rng = np.random.default_rng(21)
+    delta = Dissimilarities(distances(rng.standard_normal((32, 2))))
+    res = lcu_column_demo(delta, Weights.uniform(32), rng.standard_normal((32, 2)))
+    assert len(res.labels) == 528
+    assert any("Y" in label for label in res.labels)
+    assert res.max_abs_diff <= 1e-10
 
 
 def test_column_demo_past_qubit_cap_fails_fast():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import aligned, random_decomposition, random_point, random_symmetric_unitary
 from qdescent.errors import CapacityError, DegenerateStepError
 from qdescent.poly import (
+    PAULI_BY_LABEL,
     Point,
     TensorDecomposition,
     UnitaryFactor,
@@ -261,6 +263,47 @@ def test_pauli_decompose_round_trip():
     comps = pauli_decompose(m)
     rebuilt = sum(w * pauli_label_matrix(lbl) for lbl, w in comps.items())
     assert np.allclose(rebuilt.real, m, atol=1e-10)
+
+
+def kron_pauli(label):
+    """Reference: a Pauli string as the Kronecker product of its one-qubit matrices."""
+    out = np.eye(1, dtype=complex)
+    for ch in label:
+        out = np.kron(out, PAULI_BY_LABEL[ch])
+    return out
+
+
+def test_pauli_label_matrix_equals_kron_product():
+    labels = ["".join(c) for q in range(1, 5) for c in itertools.product("IXYZ", repeat=q)]
+    assert len(labels) == 340
+    for label in labels:
+        assert np.array_equal(pauli_label_matrix(label), kron_pauli(label)), label
+    with pytest.raises(ValueError, match="unknown Pauli string"):
+        pauli_label_matrix("XA")
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_pauli_decompose_matches_trace_definition(q):
+    rng = np.random.default_rng(40 + q)
+    a = rng.standard_normal((2**q, 2**q))
+    m = a + a.T
+    expected = {}
+    for combo in itertools.product("IXYZ", repeat=q):
+        label = "".join(combo)
+        weight = np.trace(kron_pauli(label) @ m).real / 2**q
+        if abs(weight) > 1e-12:
+            expected[label] = weight
+    comps = pauli_decompose(m)
+    assert list(comps) == list(expected)
+    assert all(abs(comps[label] - expected[label]) <= 1e-12 for label in expected)
+
+
+def test_pauli_decompose_rejects_complex_weights_and_bad_shapes():
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match="complex Pauli weight"):
+        pauli_decompose(rng.standard_normal((4, 4)))
+    with pytest.raises(ValueError, match="power-of-two"):
+        pauli_decompose(np.eye(3))
 
 
 @pytest.mark.parametrize("make", [
