@@ -29,6 +29,7 @@ from .mds import (
 )
 from .poly import (
     CoefficientSet,
+    PauliString,
     Point,
     TensorDecomposition,
     UnitaryFactor,

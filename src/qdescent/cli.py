@@ -36,8 +36,7 @@ def _fmt(value) -> str:
 
 def _load_problem(path: str) -> poly.TensorDecomposition:
     with open(path) as fh:
-        data = json.load(fh)
-    return poly.decomposition_from_dict(data)
+        return poly.decomposition_from_dict(json.load(fh))
 
 
 def _parse_point(text: str, dim: int) -> poly.Point:

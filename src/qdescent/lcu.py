@@ -16,7 +16,7 @@ import numpy as np
 
 from . import poly, sim
 from .errors import CapacityError, DegenerateStepError, PostselectionError
-from .poly import Point, TensorDecomposition, UnitaryFactor
+from .poly import CoefficientSet, PauliString, Point, TensorDecomposition, UnitaryFactor
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,12 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class PrepareSpec:
-    """The prepare stage: beta, the flag rotation v0, the select unitary v,
-    and the per-branch signs absorbed into the selected unitaries."""
+    """The prepare stage: beta, the flag rotation v0, the select unitary's first column
+    (V = complete_from_first_column(column)), and the signs absorbed into the factors."""
 
     beta: float
     v0: np.ndarray
-    v: np.ndarray
+    column: np.ndarray
     signs: np.ndarray
 
 
@@ -81,24 +81,27 @@ class IterationRecord:
     label: str
 
 
-def complete_from_first_column(col: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix whose first column is col / ||col||.
-
-    One Householder reflection maps e0 onto -sign(u0) * u (the sign keeps
-    w = u + sign(u0) e0 away from cancellation); its first column is then
-    overwritten with u itself, which keeps the columns orthonormal.
-    """
+def _reflector(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = col / ||col|| and w = u + sign(u0) e0: H = I - 2 w w^T / (w.w) maps e0 onto
+    -sign(u0) * u (the sign keeps w away from cancellation)."""
     u = np.asarray(col, dtype=float)
     u = u / np.linalg.norm(u)
     w = u.copy()
     w[0] += 1.0 if u[0] >= 0 else -1.0
+    return u, w
+
+
+def complete_from_first_column(col: np.ndarray) -> np.ndarray:
+    """Real orthogonal matrix whose first column is col / ||col||: the reflection H of
+    _reflector with its first column overwritten by u, which keeps the columns orthonormal."""
+    u, w = _reflector(col)
     out = np.eye(u.shape[0]) - (2.0 / (w @ w)) * np.outer(w, w)
     out[:, 0] = u
     return out
 
 
 def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
-    """v0, v, signs, and beta for the prepare stage of the weights c at step size eta."""
+    """v0, V's column, signs, and beta for the prepare stage of the weights c at step size eta."""
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
     c = np.asarray(c, dtype=float)
@@ -107,22 +110,13 @@ def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
     beta = 1.0 + total
     a = 1.0 / math.sqrt(beta)
     v0 = complete_from_first_column(np.array([a, math.sqrt((beta - 1.0) / beta)]))
-    t1 = RegisterLayout.for_problem(len(c), 1).t1
-    dim = 2**t1
+    column = np.zeros(2 ** RegisterLayout.for_problem(len(c), 1).t1)
     if total == 0.0:
-        v = np.eye(dim)
+        column[0] = 1.0  # V = I
     else:
-        first = np.zeros(dim)
-        first[: len(c)] = np.sqrt(weights / total)
-        v = complete_from_first_column(first)
+        column[: len(c)] = np.sqrt(weights / total)
     signs = np.where(eta * c > 0, -1.0, 1.0)
-    return PrepareSpec(beta=beta, v0=v0, v=v, signs=signs)
-
-
-def _pad_vector(x: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros(dim, dtype=complex)
-    out[: x.shape[0]] = x
-    return out
+    return PrepareSpec(beta=beta, v0=v0, column=column, signs=signs)
 
 
 def _on_flag(u: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -130,14 +124,24 @@ def _on_flag(u: np.ndarray, state: np.ndarray) -> np.ndarray:
     return (np.asarray(u, dtype=complex) @ state.reshape(2, -1)).reshape(state.shape)
 
 
-def run_lcu_step(factors: list[UnitaryFactor], c: np.ndarray, x_vec: np.ndarray,
+def _on_select(block: np.ndarray, column: np.ndarray, v: np.ndarray | None,
+               transpose: bool = False) -> np.ndarray:
+    """Prepare (or un-prepare) the select axis of the flag=1 block with a dense V, or else with
+    the unformed reflection H of _reflector (its own transpose) as one rank-one update in
+    O(2^t1 * 2^n_work); H's first column is -u, a sign that prepare and un-prepare cancel."""
+    if v is not None:
+        return (v.T if transpose else v) @ block
+    w = _reflector(column)[1]
+    return block - (2.0 / (w @ w)) * np.outer(w, w @ block)
+
+
+def run_lcu_step(factors: list[UnitaryFactor | PauliString], c: np.ndarray, x_vec: np.ndarray,
                  eta: float) -> tuple[np.ndarray, float]:
     """Execute one circuit step for explicit factors and weights.
 
     The state is held as a (flag, select, work) array of shape
-    (2, 2^t1, 2^n_work): v0 acts on the flag axis, v on the flag=1 slice,
-    and factor m on select row m of that slice, so each gate costs one
-    matmul and unitarity is left to the UnitaryFactor constructor.
+    (2, 2^t1, 2^n_work): v0 acts on the flag axis, V on the flag=1 slice,
+    and factor m on select row m of that slice; no gate is checked here.
 
     Returns (post-selected working vector of len(x_vec), success probability).
     The weights c may come from a CoefficientSet or any other real linear
@@ -150,11 +154,13 @@ def run_lcu_step(factors: list[UnitaryFactor], c: np.ndarray, x_vec: np.ndarray,
 
     state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=complex)
     state[0, 0, :n] = x_vec
+    # t1 <= 2, as in every golden run, keeps dense V: the rank-one form moves the last digits of 4 golden outputs
+    v = np.asarray(complete_from_first_column(prep.column), dtype=complex) if layout.t1 <= 2 else None
     state = _on_flag(prep.v0, state)
-    state[1] = np.asarray(prep.v, dtype=complex) @ state[1]
+    state[1] = _on_select(state[1], prep.column, v)
     for m, factor in enumerate(factors):
-        state[1, m, :n] = prep.signs[m] * (factor.matrix @ state[1, m, :n])
-    state[1] = np.asarray(prep.v.T, dtype=complex) @ state[1]
+        state[1, m, :n] = prep.signs[m] * factor.apply(state[1, m, :n])
+    state[1] = _on_select(state[1], prep.column, v, transpose=True)
     state = _on_flag(prep.v0.T, state)
 
     kept = state[0, 0]
@@ -172,8 +178,11 @@ def run_lcu_step(factors: list[UnitaryFactor], c: np.ndarray, x_vec: np.ndarray,
     return vec, prob
 
 
-def _aa_estimate(prob: float) -> int:
-    return math.ceil(math.pi / (4.0 * math.asin(math.sqrt(prob))))
+def _check_mode(mode: str, shots: int | None) -> None:
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and (shots is None or shots < 1):
+        raise ValueError("sampled mode needs shots >= 1")
 
 
 def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
@@ -185,23 +194,18 @@ def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
     post-selection successes among ``shots`` Bernoulli repetitions and fails
     when none occur; the collapsed state itself is exact either way.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and (shots is None or shots < 1):
-        raise ValueError("sampled mode needs shots >= 1")
-    coeffs = poly.coefficients(decomp, x)
+    _check_mode(mode, shots)
+    return _step(decomp, x, poly.coefficients(decomp, x), eta, mode, shots, seed)
+
+
+def _step(decomp: TensorDecomposition, x: Point, coeffs: CoefficientSet, eta: float,
+          mode: str, shots: int | None, seed: int | None) -> IterationOutcome:
+    """run_iteration from the coefficients already formed at x."""
     vec, prob = run_lcu_step(decomp.flattened_factors(), coeffs.c, x.coords, eta)
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        successes = rng.binomial(shots, prob)
-        if successes == 0:
-            raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
-    return IterationOutcome(
-        next_point=Point(vec),
-        success_prob=prob,
-        expected_bernoulli_reps=1.0 / prob,
-        aa_reps_estimate=_aa_estimate(prob),
-    )
+    if mode == "sampled" and np.random.default_rng(seed).binomial(shots, prob) == 0:
+        raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
+    return IterationOutcome(next_point=Point(vec), success_prob=prob, expected_bernoulli_reps=1.0 / prob,
+                            aa_reps_estimate=math.ceil(math.pi / (4.0 * math.asin(math.sqrt(prob)))))
 
 
 def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
@@ -216,10 +220,7 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
     count and takes each sign from the exact overlap, which the
     magnitude-only projector cannot provide.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and (shots is None or shots < 1):
-        raise ValueError("sampled mode needs shots >= 1")
+    _check_mode(mode, shots)
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
     xp = x.coords.astype(complex)
     start = xp
@@ -229,7 +230,7 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
     rng = np.random.default_rng(seed) if mode == "sampled" else None
     out = np.empty(decomp.flat_count)
     for m, factor in enumerate(decomp.flattened_factors()):
-        branch = factor.matrix @ start
+        branch = factor.apply(start)
         # post-selecting select outcome m renormalizes its branch
         branch = branch / np.sqrt(float(np.sum(np.abs(branch) ** 2)))
         overlap = complex(xp.conj() @ branch)
@@ -262,32 +263,33 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
         raise ValueError("threshold must be positive and finite")
     if not 0 <= noise_eps <= 1:  # NaN fails too
         raise ValueError("noise strength must lie in [0, 1]")
+    _check_mode(mode, shots)
     records: list[IterationRecord] = []
     x = x0
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
+    coeffs = poly.coefficients(decomp, x)
     for t in range(1, max_iters + 1):
         step_seed = None if seed is None else seed + t
-        outcome = run_iteration(decomp, x, eta, mode, shots, step_seed)
+        outcome = _step(decomp, x, coeffs, eta, mode, shots, step_seed)
         y = outcome.next_point.coords
-        if float(y @ x.coords) < 0:
-            y = -y
         fid = None
-        if noise_eps > 0:
-            pure = sim.QState(layout.n_work, _pad_vector(y, 2**layout.n_work))
+        if noise_eps > 0:  # the density matrix, and so the purified point, is the same for +-y
+            pure = sim.QState(layout.n_work, np.pad(y, (0, 2**layout.n_work - decomp.dim)))
             rho = sim.to_density(pure)
             noisy = sim.depolarize(rho, noise_eps)
             fid = sim.fidelity(rho, noisy)
             recovered = sim.purify(noisy)[: decomp.dim]
             y = recovered / np.linalg.norm(recovered)
-            if float(y @ x.coords) < 0:
-                y = -y
+        if float(y @ x.coords) < 0:
+            y = -y
         moved = float(np.linalg.norm(y - x.coords))
         point = Point(y)
         converged = moved <= threshold
+        coeffs = poly.coefficients(decomp, point)  # this record's f and the next step's weights
         records.append(IterationRecord(
             iteration=t,
             point=point,
-            f_value=poly.evaluate_objective(decomp, point),
+            f_value=coeffs.f_value,
             success_prob=outcome.success_prob,
             overlap=None if reference is None else float(y @ reference.coords),
             fidelity=fid,

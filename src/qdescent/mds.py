@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcu
-from .poly import UnitaryFactor, pauli_decompose, pauli_label_matrix
+from .poly import PauliString, pauli_decompose
 
 
 def _square_checked(m, name: str) -> np.ndarray:
@@ -222,7 +222,7 @@ def lcu_column_demo(delta, w, x, column: int = 0, eta: float = 0.05) -> ColumnDe
     if norm < 1e-12:
         raise ValueError("selected column has zero norm")
     unit = col / norm
-    factors = [UnitaryFactor(pauli_label_matrix(lbl)) for lbl in labels]
+    factors = [PauliString(lbl) for lbl in labels]
     vec, prob = lcu.run_lcu_step(factors, weights, unit, eta)
     classical = unit - eta * dmat @ unit
     classical = classical / np.linalg.norm(classical)

@@ -13,6 +13,7 @@ factors forms every A_m x, which gives b and D x alike; D is never built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,38 +26,22 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-PAULI_BY_LABEL = {
-    "I": PAULI_I,
-    "-I": -PAULI_I,
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-}
 _PAULI_HALF_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1) / 2  # sigma^T / 2
 
-_UNITARITY_TOL = 1e-10
-_SYMMETRY_TOL = 1e-12
 _EXPAND_GUARD = 2**20
-
-
-def _is_unitary(m: np.ndarray, tol: float = _UNITARITY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= tol
 
 
 @dataclass(frozen=True)
 class UnitaryFactor:
-    """One unitary factor A_i^a of the decomposition."""
+    """One dense unitary factor A_i^a of the decomposition, checked once at construction."""
 
     matrix: np.ndarray
-    label: str | None = None  # Pauli tag for compact I/O, None for dense factors
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("factor must be a square matrix")
-        if not _is_unitary(m):
+        if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= 1e-10:  # NaN fails too
             raise ValueError("factor is not unitary within 1e-10")
         object.__setattr__(self, "matrix", m)
 
@@ -64,15 +49,54 @@ class UnitaryFactor:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def symmetric(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.T)) <= _SYMMETRY_TOL)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix @ v
 
-    @classmethod
-    def from_pauli(cls, label: str) -> "UnitaryFactor":
-        if label not in PAULI_BY_LABEL:
-            raise ValueError(f"unknown Pauli label {label!r}")
-        return cls(PAULI_BY_LABEL[label], label=label)
+    @staticmethod
+    def from_pauli(label: str) -> "PauliString":
+        return PauliString(label)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_signs(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows r < 2^q and (-1)^popcount(r) as complex numbers."""
+    parity = np.zeros(1, dtype=np.int8)
+    for _ in range(q):
+        parity = np.concatenate([parity, parity ^ 1])
+    return np.arange(2**q), (1 - 2 * parity).astype(complex)
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """A Pauli string such as "XZ" or "-YY", applied without a matrix (qubit 0 the most
+    significant bit).  Row r holds (-i)^#Y * (-1)^popcount(r & zmask), negated for a leading
+    "-", in column r ^ xmask; a phased permutation is unitary by construction, so A v is
+    phase * v[cols] in O(N) and nothing is checked."""
+
+    label: str
+    _X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+
+    def __post_init__(self):
+        body = self.label.removeprefix("-") if isinstance(self.label, str) else ""
+        if not body or set(body) - set("IXYZ"):
+            raise ValueError(f"unknown Pauli string {self.label!r}")
+        r, signs = _row_signs(len(body))
+        sign = (1, -1j, -1, 1j)[body.count("Y") % 4] * (-1 if body != self.label else 1)
+        object.__setattr__(self, "cols", r ^ int(body.translate(self._X_BITS), 2))
+        object.__setattr__(self, "phase", sign * signs[r & int(body.translate(self._Z_BITS), 2)])
+
+    @property
+    def dim(self) -> int:
+        return self.cols.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[np.arange(self.dim), self.cols] = self.phase
+        return out
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.phase * v[self.cols]
 
 
 @dataclass(frozen=True)
@@ -96,6 +120,8 @@ class TensorDecomposition:
             for f in term:
                 if f.dim != self.dim:
                     raise ValueError("all factors must share the decomposition dimension")
+        if not math.isfinite(float(self.prefactor)):
+            raise ValueError("prefactor must be finite")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "prefactor", float(self.prefactor))
 
@@ -108,7 +134,7 @@ class TensorDecomposition:
         """Total flattened factor count K*p."""
         return self.num_terms * self.order_p
 
-    def flattened_factors(self) -> list[UnitaryFactor]:
+    def flattened_factors(self) -> list[UnitaryFactor | PauliString]:
         """Factors in flattened order m = (a-1)*p + j."""
         return [f for term in self.terms for f in term]
 
@@ -143,13 +169,14 @@ class Point:
 @dataclass(frozen=True)
 class CoefficientSet:
     """Rayleigh quotients b, per-term products M, flattened weights c, the
-    normalizer beta = 1 + sum |c_m|, and the descent direction D x."""
+    normalizer beta = 1 + sum |c_m|, the descent direction D x, and f(x) from the same b."""
 
     b: np.ndarray       # K x p
     big_m: np.ndarray   # K
     c: np.ndarray       # K*p, order m = (a-1)*p + j
     total_weight: float
     direction: np.ndarray  # N, sum_m c_m A_m x (complex; real for real-symmetric factors)
+    f_value: float
 
 
 def _check_dim(decomp: TensorDecomposition, x) -> np.ndarray:
@@ -185,7 +212,7 @@ def expand_coefficients(decomp: TensorDecomposition) -> np.ndarray:
 
 def _factor_pass(decomp: TensorDecomposition, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One pass over the factors: the rows y_m = A_m x and the K x p quotients b_m = x . y_m."""
-    ys = np.array([f.matrix @ v for f in decomp.flattened_factors()])
+    ys = np.array([f.apply(v) for f in decomp.flattened_factors()])
     b = np.empty(len(ys))
     # one dot per row: a stacked ys @ v rounds differently, and b sets the output bytes
     for m, y in enumerate(ys):
@@ -202,8 +229,12 @@ def evaluate_objective(decomp: TensorDecomposition, x) -> float:
     Accepts a Point or a raw real vector; raw vectors need not be unit norm,
     which finite-difference checks rely on.
     """
-    v = _check_dim(decomp, x)
-    b, _ = _factor_pass(decomp, v)
+    b, _ = _factor_pass(decomp, _check_dim(decomp, x))
+    return _objective_from_b(decomp, b)
+
+
+def _objective_from_b(decomp: TensorDecomposition, b: np.ndarray) -> float:
+    """s * sum_a prod_i b_i^a, multiplied and summed in a fixed order (f sets the output bytes)."""
     total = 0.0
     for row in b.tolist():
         prod = 1.0
@@ -232,7 +263,7 @@ def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
                     prod *= b[a, i]
             c[a * p + j] = prod
     return CoefficientSet(b=b, big_m=big_m, c=c, total_weight=1.0 + float(np.sum(np.abs(c))),
-                          direction=c @ ys)
+                          direction=c @ ys, f_value=_objective_from_b(decomp, b))
 
 
 def classical_gradient(decomp: TensorDecomposition, x) -> np.ndarray:
@@ -264,20 +295,6 @@ def classical_iterate(decomp: TensorDecomposition, x: Point, eta: float) -> tupl
     return Point(y / n), n
 
 
-def pauli_label_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string such as "XZ": the phased permutation whose row r holds
-    (-i)^#Y * (-1)^popcount(r & zmask) in column r ^ xmask, qubit 0 the most significant bit."""
-    if set(label) - set("IXYZ"):
-        raise ValueError(f"unknown Pauli string {label!r}")
-    shifts = np.arange(len(label) - 1, -1, -1)
-    xmask, zmask = (sum(1 << int(s) for ch, s in zip(label, shifts) if ch in on) for on in ("XY", "YZ"))
-    r = np.arange(2 ** len(label))
-    parity = (((r & zmask)[:, None] >> shifts) & 1).sum(axis=1) & 1
-    out = np.zeros((r.size, r.size), dtype=complex)
-    out[r, r ^ xmask] = (1, -1j, -1, 1j)[label.count("Y") % 4] * (1 - 2 * parity)
-    return out
-
-
 def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> dict[str, float]:
     """Real coefficients of a symmetric matrix over the Pauli-string basis.
 
@@ -301,19 +318,19 @@ def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> dict[str, float]:
     return {lbl: float(w) for lbl, w in zip(labels, coeffs.real) if abs(w) > tol}
 
 
-def factor_to_dict(factor: UnitaryFactor) -> dict:
-    if factor.label is not None:
+def factor_to_dict(factor: UnitaryFactor | PauliString) -> dict:
+    if isinstance(factor, PauliString):
         return {"pauli": factor.label}
     flat = [[float(z.real), float(z.imag)] for z in factor.matrix.reshape(-1)]
     return {"dense": flat}
 
 
-def factor_from_dict(d: dict, dim: int) -> UnitaryFactor:
+def factor_from_dict(d: dict, dim: int) -> UnitaryFactor | PauliString:
     if "pauli" in d:
-        f = UnitaryFactor.from_pauli(d["pauli"])
-        if f.dim != dim:
-            raise ValueError("Pauli factor is 2x2 but decomposition dim differs")
-        return f
+        label = d["pauli"]
+        if not isinstance(label, str) or 2 ** len(label.removeprefix("-")) != dim:  # before 2^len entries
+            raise ValueError(f"Pauli factor {label!r} is not a string acting on dimension {dim}")
+        return PauliString(label)
     if "dense" in d:
         flat = d["dense"]
         if len(flat) != dim * dim:

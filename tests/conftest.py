@@ -1,8 +1,13 @@
 """Shared random-instance builders for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
-from qdescent.poly import Point, TensorDecomposition, UnitaryFactor
+from qdescent.poly import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Point, TensorDecomposition, UnitaryFactor
+
+# property tests draw the same examples on every run, so tier-1 stays deterministic
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=60)
+settings.load_profile("tier1")
 
 
 def random_symmetric_unitary(rng, n):
@@ -35,3 +40,11 @@ def random_point(rng, n):
 def aligned(vec, reference):
     """Flip vec so it has nonnegative inner product with reference."""
     return vec if float(vec @ reference) >= 0 else -vec
+
+
+def kron_pauli(label):
+    """Reference: a Pauli string as the Kronecker product of its one-qubit matrices."""
+    out = -np.eye(1, dtype=complex) if label.startswith("-") else np.eye(1, dtype=complex)
+    for ch in label.removeprefix("-"):
+        out = np.kron(out, {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}[ch])
+    return out

@@ -314,12 +314,20 @@ def test_output_bytes_match_golden(name, capsys):
     ["mds", "--delta", "{square}", "--seed", "2", "--eta", "nan"],
     ["mds", "--delta", "{square}", "--seed", "2", "--tol", "nan"],
     ["mds", "--delta", "{nan_delta}"],
+    ["optimize", "--problem", "{inf_prefactor}", "--x0", "0.86,0.50"],
+    ["optimize", "--problem", "{nan_prefactor}", "--x0", "0.86,0.50"],
+    ["estimate-coeffs", "--problem", "{inf_prefactor}", "--x0", "0.86,0.50"],
 ])
 def test_non_finite_input_exits_1(argv, tmp_path, capsys):
     nan_delta = tmp_path / "nan.csv"
     nan_delta.write_text("0.0,nan\nnan,0.0\n")
+    problem = (GOLDEN / "problem.json").read_text()
     inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv"),
               "{nan_delta}": str(nan_delta)}
+    for name, value in (("inf_prefactor", "1e309"), ("nan_prefactor", '"nan"')):
+        path = tmp_path / f"{name}.json"
+        path.write_text(problem.replace('"prefactor": 0.5', f'"prefactor": {value}'))
+        inputs[f"{{{name}}}"] = str(path)
     assert main([inputs.get(arg, arg) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
@@ -358,6 +366,16 @@ def test_out_of_range_input_exits_1(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("label", ['["X"]', "3", '"XZ"'])
+def test_bad_pauli_label_exits_1(label, tmp_path, capsys):
+    problem = tmp_path / "bad_label.json"
+    problem.write_text((GOLDEN / "problem.json").read_text().replace('"Z"', label))
+    assert main(["optimize", "--problem", str(problem), "--x0", "0.86,0.50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Pauli factor")
 
 
 def test_optimize_sampled_takes_shots(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import aligned, random_decomposition, random_point, random_symmetric_unitary
-from qdescent import sim
+from qdescent import poly, sim
 from qdescent.errors import CapacityError, DegenerateStepError, PostselectionError
 from qdescent.lcu import (
     RegisterLayout,
@@ -16,6 +16,7 @@ from qdescent.lcu import (
     run_lcu_step,
 )
 from qdescent.poly import (
+    PauliString,
     Point,
     TensorDecomposition,
     UnitaryFactor,
@@ -60,6 +61,7 @@ def reference_lcu_step(factors, c, x_vec, eta):
     layout = RegisterLayout.for_problem(len(factors), n)
     dim_work = 2**layout.n_work
     prep = build_prepare(c, eta)
+    v = complete_from_first_column(prep.column)
     q = layout.total_qubits
     full = np.zeros(2**q, dtype=complex)
     full[:n] = x_vec
@@ -68,12 +70,12 @@ def reference_lcu_step(factors, c, x_vec, eta):
     work = list(range(1 + layout.t1, q))
     state = sim.apply_unitary(state, prep.v0, [0])
     if layout.t1 > 0:
-        state = sim.apply_controlled(state, prep.v, [0], [1], select)
+        state = sim.apply_controlled(state, v, [0], [1], select)
     for m, f in enumerate(factors):
         u = prep.signs[m] * _pad(f.matrix, dim_work)
         state = sim.apply_controlled(state, u, [0] + select, [1] + _bits(m, layout.t1), work)
     if layout.t1 > 0:
-        state = sim.apply_controlled(state, prep.v.T, [0], [1], select)
+        state = sim.apply_controlled(state, v.T, [0], [1], select)
     state = sim.apply_unitary(state, prep.v0.T, [0])
     kept, prob = sim.postselect(state, [0] + select, [0] * (1 + layout.t1))
     vec = kept.amps.real[:n]
@@ -102,8 +104,16 @@ def reference_estimate_b(decomp, x):
     return np.reshape(out, (decomp.num_terms, decomp.order_p))
 
 
+def pauli_decomposition(labels, p, prefactor):
+    strings = [PauliString(lbl) for lbl in labels]
+    return TensorDecomposition(dim=strings[0].dim, order_p=p, prefactor=prefactor,
+                               terms=[strings[a:a + p] for a in range(0, len(strings), p)])
+
+
 def reference_instances():
-    """Random decompositions plus one padded case (N = 3, K*p = 3), each with a start point."""
+    """Random dense decompositions, one padded case (N = 3, K*p = 3), Pauli-string and mixed
+    decompositions on both sides of t1 = 2 (dense V up to K*p = 4, rank-one V past it),
+    each with a start point.  Every string has an even number of Y, so it is real symmetric."""
     rng = np.random.default_rng(31)
     cases = []
     for _ in range(40):
@@ -113,7 +123,27 @@ def reference_instances():
         dim=3, order_p=1, terms=[[UnitaryFactor(random_symmetric_unitary(rng, 3))] for _ in range(3)],
         prefactor=0.8)
     cases.append((padded, random_point(rng, 3)))
+    for labels, p, prefactor in (
+        (["XZ", "-YY"], 1, 0.9),
+        (["IX", "YY", "-ZI", "XX"], 2, -0.6),
+        (["XYY", "-ZIZ", "YIY", "IXI", "ZZX"], 1, 0.7),
+        (["YYZ", "XIX", "-IZI", "ZXZ", "YXY", "IIX", "-XXZ", "ZYY", "IYY", "XZZ", "ZII", "-YIY"],
+         2, 0.5),
+    ):
+        d = pauli_decomposition(labels, p, prefactor)
+        cases.append((d, random_point(rng, d.dim)))
+    mixed = [[PauliString("YY"), UnitaryFactor(random_symmetric_unitary(rng, 4))],
+             [UnitaryFactor(random_symmetric_unitary(rng, 4)), PauliString("-XZ")],
+             [PauliString("ZX"), PauliString("IZ")]]
+    cases.append((TensorDecomposition(dim=4, order_p=2, terms=mixed, prefactor=-1.1), random_point(rng, 4)))
     return cases
+
+
+def test_reference_instances_cover_both_prepare_branches_and_factor_kinds():
+    cases = reference_instances()
+    t1s = {RegisterLayout.for_problem(d.flat_count, d.dim).t1 for d, _ in cases}
+    assert min(t1s) <= 2 < max(t1s)
+    assert {type(f) for d, _ in cases for f in d.flattened_factors()} == {UnitaryFactor, PauliString}
 
 
 @pytest.mark.parametrize("decomp, x", reference_instances())
@@ -168,15 +198,16 @@ def test_build_prepare_benchmark_values():
     d = benchmark()
     x = Point.normalized([1.0, 1.0])
     prep = build_prepare(coefficients(d, x).c, eta=1.0)
+    v = complete_from_first_column(prep.column)
     assert np.isclose(prep.beta, 2.5)
     assert np.allclose(prep.v0[:, 0], [1 / np.sqrt(2.5), np.sqrt(1.5 / 2.5)])
     root = np.sqrt(1.0 / 3.0)
     # c_2 is a rounding-level 1e-17, so its slot holds sqrt(eta*|c_2|/total) ~ 3e-9
-    assert np.allclose(prep.v[:, 0], [root, root, 0.0, root], atol=1e-8)
+    assert np.allclose(v[:, 0], [root, root, 0.0, root], atol=1e-8)
     assert prep.signs[0] == -1.0 and prep.signs[3] == -1.0
     assert prep.signs[1] == 1.0
     # rows/cols orthonormal
-    assert np.allclose(prep.v @ prep.v.T, np.eye(4), atol=1e-12)
+    assert np.allclose(v @ v.T, np.eye(4), atol=1e-12)
     assert np.allclose(prep.v0 @ prep.v0.T, np.eye(2), atol=1e-12)
 
 
@@ -189,7 +220,7 @@ def test_prepare_state_amplitudes():
     prep = build_prepare(coefficients(d, x).c, eta)
     state = sim.QState.zero(3)
     state = sim.apply_unitary(state, prep.v0, [0])
-    state = sim.apply_controlled(state, prep.v, [0], [1], [1, 2])
+    state = sim.apply_controlled(state, complete_from_first_column(prep.column), [0], [1], [1, 2])
     c = coefficients(d, x).c
     assert np.isclose(abs(state.amps[0]), 1 / np.sqrt(prep.beta), atol=1e-12)
     for m in range(4):
@@ -203,15 +234,15 @@ def test_zero_weights_give_identity_step():
     vec, prob = run_lcu_step(factors, np.zeros(2), x, eta=1.0)
     prep = build_prepare(np.zeros(2), eta=1.0)
     assert np.isclose(prep.beta, 1.0)
-    assert np.allclose(prep.v, np.eye(2))
+    assert np.allclose(complete_from_first_column(prep.column), np.eye(2))
     assert np.allclose(vec, x, atol=1e-14)
     assert np.isclose(prob, 1.0)
 
 
 def test_single_factor_layout():
     prep = build_prepare(coefficients(identity_problem(), Point.normalized([1.0, 0.0])).c, eta=0.5)
-    assert prep.v.shape == (1, 1)
-    assert np.isclose(prep.v[0, 0], 1.0)
+    assert prep.column.shape == (1,)
+    assert np.isclose(complete_from_first_column(prep.column)[0, 0], 1.0)
 
 
 def test_iteration_matches_classical_step():
@@ -367,6 +398,19 @@ def test_optimize_frozen_half_step_trajectory():
     ovs = [r.overlap for r in recs]
     assert np.allclose(ovs, [0.8805931979, 0.9985117012, 0.9999467543,
                              0.9999977000, 0.9999998971, 0.9999999954], atol=1e-8)
+
+
+def test_optimize_makes_one_factor_pass_per_point(monkeypatch):
+    passes = []
+    factor_pass = poly._factor_pass
+    monkeypatch.setattr(poly, "_factor_pass", lambda d, v: passes.append(v.copy()) or factor_pass(d, v))
+    records = optimize(benchmark(), Point.normalized([0.86, 0.5]), eta=0.5, max_iters=8)
+    # the start, then every accepted point once: its record's f and the next step's weights
+    points = [Point.normalized([0.86, 0.5])] + [r.point for r in records]
+    assert len(records) > 2
+    assert [list(v) for v in passes] == [list(p.coords) for p in points]
+    monkeypatch.undo()
+    assert [r.f_value for r in records] == [evaluate_objective(benchmark(), r.point) for r in records]
 
 
 def test_optimize_from_stationary_point():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdescent.errors import CapacityError
+from qdescent.lcu import RegisterLayout
 from qdescent.mds import (
     Configuration,
     Dissimilarities,
@@ -268,6 +269,16 @@ def test_column_demo_matches_classical_step_at_32_points():
     res = lcu_column_demo(delta, Weights.uniform(32), rng.standard_normal((32, 2)))
     assert len(res.labels) == 528
     assert any("Y" in label for label in res.labels)
+    assert res.max_abs_diff <= 1e-10
+
+
+def test_column_demo_matches_classical_step_at_64_points():
+    # 2080 strings on 12 select qubits (19 in all): matrix-free Pauli factors, rank-one prepare
+    rng = np.random.default_rng(21)
+    delta = Dissimilarities(distances(rng.standard_normal((64, 2))))
+    res = lcu_column_demo(delta, Weights.uniform(64), rng.standard_normal((64, 2)))
+    assert len(res.labels) == 2080
+    assert RegisterLayout.for_problem(len(res.labels), 64).total_qubits == 19
     assert res.max_abs_diff <= 1e-10
 
 

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import aligned, random_decomposition, random_point, random_symmetric_unitary
+from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
 from qdescent.errors import CapacityError, DegenerateStepError
 from qdescent.poly import (
-    PAULI_BY_LABEL,
+    PauliString,
     Point,
     TensorDecomposition,
     UnitaryFactor,
@@ -19,7 +19,6 @@ from qdescent.poly import (
     evaluate_objective,
     expand_coefficients,
     pauli_decompose,
-    pauli_label_matrix,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -44,12 +43,6 @@ def contract(tensor, x):
 def test_unitary_factor_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryFactor(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_unitary_factor_symmetric_flag():
-    assert UnitaryFactor.from_pauli("X").symmetric
-    assert UnitaryFactor.from_pauli("-I").symmetric
-    assert not UnitaryFactor.from_pauli("Y").symmetric
 
 
 def test_point_requires_unit_norm():
@@ -261,25 +254,50 @@ def test_pauli_decompose_round_trip():
     m = random_symmetric_unitary(rng, 4) + random_symmetric_unitary(rng, 4)
     m = (m + m.T) / 2
     comps = pauli_decompose(m)
-    rebuilt = sum(w * pauli_label_matrix(lbl) for lbl, w in comps.items())
+    rebuilt = sum(w * PauliString(lbl).matrix for lbl, w in comps.items())
     assert np.allclose(rebuilt.real, m, atol=1e-10)
 
 
-def kron_pauli(label):
-    """Reference: a Pauli string as the Kronecker product of its one-qubit matrices."""
-    out = np.eye(1, dtype=complex)
-    for ch in label:
-        out = np.kron(out, PAULI_BY_LABEL[ch])
-    return out
-
-
-def test_pauli_label_matrix_equals_kron_product():
+def test_pauli_string_matrix_equals_kron_product():
     labels = ["".join(c) for q in range(1, 5) for c in itertools.product("IXYZ", repeat=q)]
     assert len(labels) == 340
-    for label in labels:
-        assert np.array_equal(pauli_label_matrix(label), kron_pauli(label)), label
-    with pytest.raises(ValueError, match="unknown Pauli string"):
-        pauli_label_matrix("XA")
+    v = np.random.default_rng(5).standard_normal(16) + 1j * np.random.default_rng(6).standard_normal(16)
+    for label in labels + ["-" + lbl for lbl in labels]:
+        ref = kron_pauli(label)
+        string = PauliString(label)
+        assert np.array_equal(string.matrix, ref), label
+        assert np.allclose(string.apply(v[: len(ref)]), ref @ v[: len(ref)], rtol=0, atol=1e-15), label
+    for bad in ("XA", "", "-", "--X", ["X"], None):
+        with pytest.raises(ValueError, match="unknown Pauli string"):
+            PauliString(bad)
+
+
+def test_from_pauli_gives_a_pauli_string():
+    f = UnitaryFactor.from_pauli("-I")
+    assert isinstance(f, PauliString) and f.dim == 2
+    assert np.array_equal(f.matrix, -np.eye(2))
+
+
+@pytest.mark.parametrize("prefactor", [math.nan, math.inf, -math.inf, "nan", 1e309])
+def test_decomposition_rejects_non_finite_prefactor(prefactor):
+    x = UnitaryFactor.from_pauli("X")
+    with pytest.raises(ValueError, match="prefactor must be finite"):
+        TensorDecomposition(dim=2, order_p=1, terms=[[x]], prefactor=prefactor)
+    with pytest.raises(ValueError, match="prefactor must be finite"):
+        decomposition_from_dict({"dim": 2, "p": 1, "prefactor": prefactor, "terms": [[{"pauli": "X"}]]})
+
+
+@pytest.mark.parametrize("label", [["X"], 3, {"X": 1}, None, "XX", "-XZ", "X" * 40])
+def test_json_rejects_pauli_label_that_is_not_a_string_of_the_right_width(label):
+    with pytest.raises(ValueError, match="Pauli factor"):
+        decomposition_from_dict({"dim": 2, "p": 1, "terms": [[{"pauli": label}]]})
+
+
+def test_json_round_trip_multi_qubit_paulis():
+    d = decomposition_from_dict({"dim": 8, "p": 2, "prefactor": -0.25,
+                                 "terms": [[{"pauli": "XYY"}, {"pauli": "-ZIX"}]]})
+    assert [f.label for f in d.flattened_factors()] == ["XYY", "-ZIX"]
+    assert decomposition_from_dict(decomposition_to_dict(d)) == d
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
