@@ -119,11 +119,6 @@ def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
     return PrepareSpec(beta=beta, v0=v0, column=column, signs=signs)
 
 
-def _on_flag(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply a 2 x 2 unitary on the flag axis of a (2, 2^t1, 2^n_work) state."""
-    return (np.asarray(u, dtype=complex) @ state.reshape(2, -1)).reshape(state.shape)
-
-
 def _on_select(block: np.ndarray, column: np.ndarray, v: np.ndarray | None,
                transpose: bool = False) -> np.ndarray:
     """Prepare (or un-prepare) the select axis of the flag=1 block with a dense V, or else with
@@ -139,8 +134,8 @@ def run_lcu_step(factors: list[UnitaryFactor | PauliString], c: np.ndarray, x_ve
                  eta: float) -> tuple[np.ndarray, float]:
     """Execute one circuit step for explicit factors and weights.
 
-    The state is held as a (flag, select, work) array of shape
-    (2, 2^t1, 2^n_work): v0 acts on the flag axis, V on the flag=1 slice,
+    The state is held as a (flag, select, work) array of shape (2, 2^t1, 2^n_work), real when
+    every factor is real: v0 acts on the flag axis of select row 0, V on the flag=1 slice,
     and factor m on select row m of that slice; no gate is checked here.
 
     Returns (post-selected working vector of len(x_vec), success probability).
@@ -152,18 +147,17 @@ def run_lcu_step(factors: list[UnitaryFactor | PauliString], c: np.ndarray, x_ve
     layout = RegisterLayout.for_problem(len(factors), n)
     prep = build_prepare(c, eta)
 
-    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=complex)
+    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=np.result_type(*{f.dtype for f in factors}))
     state[0, 0, :n] = x_vec
     # t1 <= 2, as in every golden run, keeps dense V: the rank-one form moves the last digits of 4 golden outputs
-    v = np.asarray(complete_from_first_column(prep.column), dtype=complex) if layout.t1 <= 2 else None
-    state = _on_flag(prep.v0, state)
+    v = complete_from_first_column(prep.column) if layout.t1 <= 2 else None
+    state[:, 0] = prep.v0 @ state[:, 0]  # before prepare only select row 0 holds amplitude
     state[1] = _on_select(state[1], prep.column, v)
     for m, factor in enumerate(factors):
         state[1, m, :n] = prep.signs[m] * factor.apply(state[1, m, :n])
     state[1] = _on_select(state[1], prep.column, v, transpose=True)
-    state = _on_flag(prep.v0.T, state)
 
-    kept = state[0, 0]
+    kept = (prep.v0.T @ state[:, 0])[0]  # after un-prepare only the kept row is read
     prob = float(np.sum(np.abs(kept) ** 2))
     if prep.beta * math.sqrt(prob) < 1e-14:
         raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
@@ -222,10 +216,9 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
     """
     _check_mode(mode, shots)
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
-    xp = x.coords.astype(complex)
-    start = xp
+    start = x.coords
     for _ in range(layout.t1):
-        start = sim.HADAMARD[0, 0] * start
+        start = sim.HADAMARD[0, 0].real * start
 
     rng = np.random.default_rng(seed) if mode == "sampled" else None
     out = np.empty(decomp.flat_count)
@@ -233,7 +226,7 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
         branch = factor.apply(start)
         # post-selecting select outcome m renormalizes its branch
         branch = branch / np.sqrt(float(np.sum(np.abs(branch) ** 2)))
-        overlap = complex(xp.conj() @ branch)
+        overlap = complex(x.coords @ branch)
         if abs(overlap.imag) > 1e-10:
             raise ValueError("expectation has a non-negligible imaginary part")
         exact = overlap.real

@@ -33,7 +33,7 @@ _EXPAND_GUARD = 2**20
 
 @dataclass(frozen=True)
 class UnitaryFactor:
-    """One dense unitary factor A_i^a of the decomposition, checked once at construction."""
+    """One dense unitary factor A_i^a, checked once when built; float64 when real, else complex128."""
 
     matrix: np.ndarray
 
@@ -41,6 +41,8 @@ class UnitaryFactor:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("factor must be a square matrix")
+        if not np.any(m.imag):
+            m = np.ascontiguousarray(m.real)
         if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= 1e-10:  # NaN fails too
             raise ValueError("factor is not unitary within 1e-10")
         object.__setattr__(self, "matrix", m)
@@ -48,6 +50,10 @@ class UnitaryFactor:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrix.dtype
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -59,7 +65,7 @@ class UnitaryFactor:
 
 @functools.lru_cache(maxsize=None)
 def _row_signs(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows r < 2^q and (-1)^popcount(r) as complex numbers."""
+    """The rows r < 2^q and (-1)^popcount(r) as complex numbers; real ones would move 6 golden outputs."""
     parity = np.zeros(1, dtype=np.int8)
     for _ in range(q):
         parity = np.concatenate([parity, parity ^ 1])
@@ -88,6 +94,10 @@ class PauliString:
     @property
     def dim(self) -> int:
         return self.cols.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.phase.dtype
 
     @property
     def matrix(self) -> np.ndarray:
@@ -175,7 +185,7 @@ class CoefficientSet:
     big_m: np.ndarray   # K
     c: np.ndarray       # K*p, order m = (a-1)*p + j
     total_weight: float
-    direction: np.ndarray  # N, sum_m c_m A_m x (complex; real for real-symmetric factors)
+    direction: np.ndarray  # N, sum_m c_m A_m x (real when every factor is real)
     f_value: float
 
 
@@ -326,18 +336,20 @@ def factor_to_dict(factor: UnitaryFactor | PauliString) -> dict:
 
 
 def factor_from_dict(d: dict, dim: int) -> UnitaryFactor | PauliString:
-    if "pauli" in d:
+    if isinstance(d, dict) and "pauli" in d:
         label = d["pauli"]
         if not isinstance(label, str) or 2 ** len(label.removeprefix("-")) != dim:  # before 2^len entries
             raise ValueError(f"Pauli factor {label!r} is not a string acting on dimension {dim}")
         return PauliString(label)
-    if "dense" in d:
-        flat = d["dense"]
-        if len(flat) != dim * dim:
-            raise ValueError(f"dense factor needs {dim*dim} [re,im] pairs, got {len(flat)}")
-        vals = np.array([complex(re, im) for re, im in flat]).reshape(dim, dim)
-        return UnitaryFactor(vals)
-    raise ValueError("factor must carry either a 'pauli' or a 'dense' key")
+    if isinstance(d, dict) and "dense" in d:
+        try:
+            vals = np.array([complex(re, im) for re, im in d["dense"]])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"dense factor {d['dense']!r:.60} is not a list of [re, im] number pairs") from exc
+        if len(vals) != dim * dim:
+            raise ValueError(f"dense factor needs {dim*dim} [re,im] pairs, got {len(vals)}")
+        return UnitaryFactor(vals.reshape(dim, dim))
+    raise ValueError(f"factor {d!r:.60} is not a JSON object with either a 'pauli' or a 'dense' key")
 
 
 def decomposition_to_dict(decomp: TensorDecomposition) -> dict:

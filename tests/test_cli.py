@@ -378,6 +378,23 @@ def test_bad_pauli_label_exits_1(label, tmp_path, capsys):
     assert captured.err.startswith("error: Pauli factor")
 
 
+@pytest.mark.parametrize("factor, named", [
+    ("5", "factor 5 "),
+    ("[[5]]", "factor [[5]] "),
+    ('{"dense": [1, 0, 0, 1]}', "dense factor [1, 0, 0, 1] "),
+    ('{"dense": [[1, 0, 0], [0, 0], [0, 0], [1, 0]]}', "dense factor [[1, 0, 0], [0, 0], "),
+    ('{"dense": [["1", 0], [0, 0], [0, 0], [1, 0]]}', "dense factor [['1', 0], "),
+    ('{"dense": 7}', "dense factor 7 "),
+])
+def test_malformed_factor_exits_1_naming_it(factor, named, tmp_path, capsys):
+    problem = tmp_path / "bad_factor.json"
+    problem.write_text((GOLDEN / "problem.json").read_text().replace('{"pauli": "Z"}', factor))
+    assert main(["optimize", "--problem", str(problem), "--x0", "0.86,0.50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}")
+
+
 def test_optimize_sampled_takes_shots(capsys):
     argv = ["optimize", "--problem", str(GOLDEN / "problem.json"), "--x0", "0.86,0.50",
             "--mode", "sampled", "--shots", "64", "--seed", "1", "--format", "json"]

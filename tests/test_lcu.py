@@ -144,6 +144,9 @@ def test_reference_instances_cover_both_prepare_branches_and_factor_kinds():
     t1s = {RegisterLayout.for_problem(d.flat_count, d.dim).t1 for d, _ in cases}
     assert min(t1s) <= 2 < max(t1s)
     assert {type(f) for d, _ in cases for f in d.flattened_factors()} == {UnitaryFactor, PauliString}
+    # run_lcu_step and estimate_b keep a real state for all-real factors and a complex one otherwise
+    state_dtypes = {np.result_type(*(f.dtype for f in d.flattened_factors())) for d, _ in cases}
+    assert state_dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
 
 
 @pytest.mark.parametrize("decomp, x", reference_instances())

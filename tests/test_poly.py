@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
+from qdescent import poly
 from qdescent.errors import CapacityError, DegenerateStepError
 from qdescent.poly import (
     PauliString,
@@ -18,6 +19,8 @@ from qdescent.poly import (
     decomposition_to_dict,
     evaluate_objective,
     expand_coefficients,
+    factor_from_dict,
+    factor_to_dict,
     pauli_decompose,
 )
 
@@ -43,6 +46,41 @@ def contract(tensor, x):
 def test_unitary_factor_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryFactor(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_factor_dtype_is_real_exactly_when_every_entry_is_real():
+    real = random_symmetric_unitary(np.random.default_rng(15), 4)
+    for matrix in (real, real.astype(complex)):
+        f = UnitaryFactor(matrix)
+        assert f.dtype == np.float64 and f.matrix.flags.c_contiguous
+        assert np.array_equal(f.matrix, real)
+    assert UnitaryFactor(1j * real).dtype == np.complex128
+    assert UnitaryFactor(np.diag([1.0, 1j])).dtype == np.complex128
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryFactor(1.5 * real)
+    assert PauliString("YY").dtype == np.complex128  # real matrix, complex phases
+    assert PauliString("XZ").dtype == np.complex128
+
+
+def test_factor_pass_rows_are_real_for_real_dense_factors():
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        d = random_decomposition(rng)
+        x = random_point(rng, d.dim)
+        b, ys = poly._factor_pass(d, x.coords)
+        assert ys.dtype == np.float64 and b.dtype == np.float64
+        assert coefficients(d, x).direction.dtype == np.float64
+    _, ys = poly._factor_pass(benchmark(), np.array([0.6, 0.8]))
+    assert ys.dtype == np.complex128
+
+
+def test_real_dense_factor_round_trips_as_float64():
+    f = UnitaryFactor(random_symmetric_unitary(np.random.default_rng(17), 4))
+    d = factor_to_dict(f)
+    back = factor_from_dict(d, 4)
+    assert back.dtype == np.float64
+    assert np.array_equal(back.matrix, f.matrix)
+    assert factor_to_dict(back) == d
 
 
 def test_point_requires_unit_norm():
