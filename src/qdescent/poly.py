@@ -14,7 +14,6 @@ factors forms every A_m x, which gives b and D x alike; D is never built.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULI_LETTERS = np.array(list("IXYZ"))
 _PAULI_HALF_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1) / 2  # sigma^T / 2
 
 _EXPAND_GUARD = 2**20
@@ -64,12 +64,13 @@ class UnitaryFactor:
 
 
 @functools.lru_cache(maxsize=None)
-def _row_signs(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows r < 2^q and (-1)^popcount(r) as complex numbers; real ones would move 6 golden outputs."""
+def _row_phases(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows r < 2^q and the (4, 2^q) table (-i)^k * (-1)^popcount(r), complex even where
+    real: real phases would move 6 golden outputs."""
     parity = np.zeros(1, dtype=np.int8)
     for _ in range(q):
         parity = np.concatenate([parity, parity ^ 1])
-    return np.arange(2**q), (1 - 2 * parity).astype(complex)
+    return np.arange(2**q), np.array([1, -1j, -1, 1j])[:, None] * (1 - 2 * parity)
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,10 @@ class PauliString:
         body = self.label.removeprefix("-") if isinstance(self.label, str) else ""
         if not body or set(body) - set("IXYZ"):
             raise ValueError(f"unknown Pauli string {self.label!r}")
-        r, signs = _row_signs(len(body))
-        sign = (1, -1j, -1, 1j)[body.count("Y") % 4] * (-1 if body != self.label else 1)
+        r, table = _row_phases(len(body))
+        k = (body.count("Y") + 2 * (body != self.label)) % 4  # a leading "-" is (-i)^2
         object.__setattr__(self, "cols", r ^ int(body.translate(self._X_BITS), 2))
-        object.__setattr__(self, "phase", sign * signs[r & int(body.translate(self._Z_BITS), 2)])
+        object.__setattr__(self, "phase", table[k][r & int(body.translate(self._Z_BITS), 2)])
 
     @property
     def dim(self) -> int:
@@ -324,8 +325,10 @@ def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> dict[str, float]:
     coeffs = t.reshape(-1)  # in itertools.product("IXYZ") order
     if np.max(np.abs(coeffs.imag)) > 1e-9:
         raise ValueError("matrix is not symmetric real: complex Pauli weight found")
-    labels = ("".join(combo) for combo in itertools.product("IXYZ", repeat=q))
-    return {lbl: float(w) for lbl, w in zip(labels, coeffs.real) if abs(w) > tol}
+    kept = np.flatnonzero(np.abs(coeffs.real) > tol)
+    digits = kept[:, None] >> 2 * np.arange(q - 1, -1, -1) & 3  # base 4, qubit 0 first
+    labels = ("".join(row) for row in _PAULI_LETTERS[digits].tolist())
+    return dict(zip(labels, coeffs.real[kept].tolist()))
 
 
 def factor_to_dict(factor: UnitaryFactor | PauliString) -> dict:
@@ -333,6 +336,19 @@ def factor_to_dict(factor: UnitaryFactor | PauliString) -> dict:
         return {"pauli": factor.label}
     flat = [[float(z.real), float(z.imag)] for z in factor.matrix.reshape(-1)]
     return {"dense": flat}
+
+
+def _json_number(value, field: str):
+    """A JSON number as read; a JSON boolean is not one."""
+    if isinstance(value, bool):
+        raise ValueError(f"'{field}' must be a number, not {value!r}")
+    return value
+
+
+def _json_count(value, field: str) -> int:
+    if isinstance(_json_number(value, field), float) and not value.is_integer():
+        raise ValueError(f"'{field}' must be a whole number, not {value!r}")
+    return int(value)
 
 
 def factor_from_dict(d: dict, dim: int) -> UnitaryFactor | PauliString:
@@ -343,7 +359,7 @@ def factor_from_dict(d: dict, dim: int) -> UnitaryFactor | PauliString:
         return PauliString(label)
     if isinstance(d, dict) and "dense" in d:
         try:
-            vals = np.array([complex(re, im) for re, im in d["dense"]])
+            vals = np.array([complex(_json_number(re, "re"), _json_number(im, "im")) for re, im in d["dense"]])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"dense factor {d['dense']!r:.60} is not a list of [re, im] number pairs") from exc
         if len(vals) != dim * dim:
@@ -363,9 +379,9 @@ def decomposition_to_dict(decomp: TensorDecomposition) -> dict:
 
 def decomposition_from_dict(d: dict) -> TensorDecomposition:
     try:
-        dim = int(d["dim"])
-        p = int(d["p"])
-        prefactor = float(d.get("prefactor", 1.0))
+        dim = _json_count(d["dim"], "dim")
+        p = _json_count(d["p"], "p")
+        prefactor = float(_json_number(d.get("prefactor", 1.0), "prefactor"))
         raw_terms = d["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed decomposition JSON: {exc}") from exc

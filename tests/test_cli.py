@@ -395,6 +395,23 @@ def test_malformed_factor_exits_1_naming_it(factor, named, tmp_path, capsys):
     assert captured.err.startswith(f"error: {named}")
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ('"dim": 2', '"dim": 2.9', "'dim' must be a whole number, not 2.9"),
+    ('"dim": 2', '"dim": true', "'dim' must be a number, not True"),
+    ('"p": 2', '"p": 1.5', "'p' must be a whole number, not 1.5"),
+    ('"p": 2', '"p": true', "'p' must be a number, not True"),
+    ('"prefactor": 0.5', '"prefactor": true', "'prefactor' must be a number, not True"),
+    ('{"pauli": "Z"}', '{"dense": [[true, 0], [0, 0], [0, 0], [true, false]]}', "dense factor [[True, 0], "),
+], ids=["dim-fraction", "dim-bool", "p-fraction", "p-bool", "prefactor-bool", "dense-bool"])
+def test_decomposition_number_that_is_fractional_or_boolean_exits_1(field, value, named, tmp_path, capsys):
+    problem = tmp_path / "bad_number.json"
+    problem.write_text((GOLDEN / "problem.json").read_text().replace(field, value))
+    assert main(["optimize", "--problem", str(problem), "--x0", "0.86,0.50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
 def test_optimize_sampled_takes_shots(capsys):
     argv = ["optimize", "--problem", str(GOLDEN / "problem.json"), "--x0", "0.86,0.50",
             "--mode", "sampled", "--shots", "64", "--seed", "1", "--format", "json"]

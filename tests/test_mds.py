@@ -209,35 +209,72 @@ def test_optimize_rejects_empty_budget(max_iters):
         mds_optimize(square_delta(), Weights.uniform(4), SQUARE + 0.1, max_iters=max_iters)
 
 
+def broadcast_distances(x):
+    """The distance matrix by one broadcast sum over the columns."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt(np.sum(diff**2, axis=2))
+
+
 def reference_descent(delta, w, x0, eta=0.05, max_iters=200, tol=1e-9):
-    """The descent loop on the public operators: descent_operator and stress on every step."""
+    """descent_operator and stress written out on broadcast distances, so this pin does not
+    move with mds.distances."""
+    dl, wt = delta.delta, w.w
+    c = c_matrix(wt)
+
+    def operator_and_stress(x):
+        d = broadcast_distances(x)
+        k = np.zeros_like(d)
+        np.divide(1.0, d, out=k, where=d > 0)
+        return c - c_matrix(wt * dl * k), 0.5 * float(np.sum(wt * (d - dl) ** 2))
+
     x = np.array(x0, dtype=float)
-    trace = [(x.copy(), stress(delta, w, x).total)]
+    op, value = operator_and_stress(x)
+    trace = [(x.copy(), value)]
     for _ in range(max_iters):
-        x = x - eta * descent_operator(delta, w, x) @ x
-        value = stress(delta, w, x).total
+        x = x - eta * op @ x
+        op, value = operator_and_stress(x)
         trace.append((x.copy(), value))
         if trace[-2][1] - value < tol:
             break
     return trace
 
 
-@pytest.mark.parametrize("n, uniform", [(4, True), (16, True), (33, True), (16, False)])
-def test_optimize_matches_public_operator_step(n, uniform):
-    rng = np.random.default_rng(100 + n + uniform)
+@pytest.mark.parametrize("n, uniform, width, coincident", [
+    (4, True, 2, False), (16, True, 2, False), (33, True, 2, False), (16, False, 2, False),
+    (16, True, 1, False), (16, False, 3, False), (16, False, 2, True),
+], ids=["4-True", "16-True", "33-True", "16-False", "16-True-width1", "16-False-width3",
+        "16-False-coincident"])
+def test_optimize_matches_public_operator_step(n, uniform, width, coincident):
+    rng = np.random.default_rng(100 + n + uniform + 10 * (width - 2))
     delta = Dissimilarities(distances(rng.standard_normal((n, 2))))
     if uniform:
-        w = Weights.uniform(n)
+        w = Weights.uniform(n).w
     else:
         a = rng.uniform(0.1, 0.6, (n, n))
-        w = Weights((a + a.T) * (1.0 - np.eye(n)))
-    x0 = rng.standard_normal((n, 2))
+        w = (a + a.T) * (1.0 - np.eye(n))
+    x0 = rng.standard_normal((n, width))
+    if coincident:
+        # rows 0 and 1 start together and weigh only on each other, so C - B(X) moves
+        # neither: d_01 = 0 with w δ_01 > 0 at every step, where an unguarded 1/d gives NaN
+        w[:2, 2:] = w[2:, :2] = 0.0
+        x0[1] = x0[0]
+    w = Weights(w)
     expected = reference_descent(delta, w, x0)
     trace = mds_optimize(delta, w, x0)
     assert len(trace) == len(expected) > 2
     for (x, value), (x_ref, value_ref) in zip(trace, expected):
         assert (x == x_ref).all()
         assert value == value_ref
+        assert not coincident or (x[0] == x[1]).all()
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_distances_sum_columns_like_the_broadcast_form(width):
+    pts = np.random.default_rng(60 + width).standard_normal((12, width))
+    if width < 8:  # numpy's sum over the column axis is a left fold
+        assert (distances(pts) == broadcast_distances(pts)).all()
+    else:  # from 8 terms numpy sums pairwise
+        np.testing.assert_allclose(distances(pts), broadcast_distances(pts), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("delta, w, x0", [

@@ -303,6 +303,9 @@ def test_pauli_string_matrix_equals_kron_product():
     for label in labels + ["-" + lbl for lbl in labels]:
         ref = kron_pauli(label)
         string = PauliString(label)
+        cols = np.argmax(ref != 0, axis=1)
+        assert np.array_equal(string.cols, cols), label
+        assert np.array_equal(string.phase, ref[np.arange(len(ref)), cols]), label
         assert np.array_equal(string.matrix, ref), label
         assert np.allclose(string.apply(v[: len(ref)]), ref @ v[: len(ref)], rtol=0, atol=1e-15), label
     for bad in ("XA", "", "-", "--X", ["X"], None):
