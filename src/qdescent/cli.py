@@ -149,20 +149,13 @@ def cmd_repro(args) -> int:
 
 
 def cmd_mds(args) -> int:
+    # mds_optimize checks the weights and x0 files, and that all three describe the same points
     delta = mds.Dissimilarities(_load_matrix(args.delta))
-    if args.weights is not None:
-        weights = mds.Weights(_load_matrix(args.weights))
+    weights = mds.Weights.uniform(delta.n) if args.weights is None else _load_matrix(args.weights)
+    if args.x0 is None:
+        x0 = np.random.default_rng(args.seed).standard_normal((delta.n, args.dim))
     else:
-        weights = mds.Weights.uniform(delta.n)
-    if weights.w.shape != delta.delta.shape:
-        raise ValueError("weights shape does not match delta")
-    if args.x0 is not None:
-        x0 = mds.Configuration(_load_matrix(args.x0))
-        if x0.coords.shape[0] != delta.n:
-            raise ValueError("x0 row count does not match delta")
-    else:
-        rng = np.random.default_rng(args.seed)
-        x0 = mds.Configuration(rng.standard_normal((delta.n, args.dim)))
+        x0 = _load_matrix(args.x0)
     trace = mds.mds_optimize(delta, weights, x0, eta=args.eta,
                              max_iters=args.max_iters, tol=args.tol)
     csv_text = "iter,stress\n" + "\n".join(
@@ -225,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("repro", help="run the built-in 2-qubit benchmark cases")
     p_rep.add_argument("--case", choices=["s1", "s2", "both"], default="both")
-    _add_run_flags(p_rep, eta=0.5, threshold=1e-3, iters=8)
+    defaults = experiment.ExperimentConfig
+    _add_run_flags(p_rep, eta=defaults.eta, threshold=defaults.threshold, iters=defaults.max_iters)
 
     p_mds = sub.add_parser("mds", help="multidimensional scaling by stress descent")
     p_mds.add_argument("--delta", required=True, help="dissimilarity matrix (CSV or JSON)")

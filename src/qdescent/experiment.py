@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lcu
-from .poly import Point, TensorDecomposition, UnitaryFactor, evaluate_objective
+from .poly import PauliString, Point, TensorDecomposition, evaluate_objective
 
 
 def benchmark_decomposition() -> TensorDecomposition:
@@ -24,8 +24,8 @@ def benchmark_decomposition() -> TensorDecomposition:
         dim=2,
         order_p=2,
         terms=[
-            [UnitaryFactor.from_pauli("-I"), UnitaryFactor.from_pauli("X")],
-            [UnitaryFactor.from_pauli("X"), UnitaryFactor.from_pauli("Z")],
+            [PauliString("-I"), PauliString("X")],
+            [PauliString("X"), PauliString("Z")],
         ],
         prefactor=0.5,
     )
@@ -64,8 +64,7 @@ def overlap(a: Point, b: Point) -> float:
 
 
 def run_case(case: str, mode: str = "exact", noise_eps: float = 0.0,
-             seed: int | None = None, config: ExperimentConfig | None = None,
-             max_iters: int | None = None) -> list[lcu.IterationRecord]:
+             seed: int | None = None, config: ExperimentConfig | None = None) -> list[lcu.IterationRecord]:
     """Full trajectory for case "s1" or "s2": the starting point as iteration 0, then every step."""
     cfg = config if config is not None else ExperimentConfig()
     starts = {"s1": cfg.x0_s1, "s2": cfg.x0_s2}
@@ -78,8 +77,7 @@ def run_case(case: str, mode: str = "exact", noise_eps: float = 0.0,
         overlap=overlap(x0, cfg.x_opt), fidelity=None, label="start",
     )
     return [start] + lcu.optimize(
-        cfg.decomp, x0, eta=cfg.eta, threshold=cfg.threshold,
-        max_iters=max_iters if max_iters is not None else cfg.max_iters,
+        cfg.decomp, x0, eta=cfg.eta, threshold=cfg.threshold, max_iters=cfg.max_iters,
         mode=mode, shots=None if mode == "exact" else 4096, seed=seed,
         noise_eps=noise_eps, reference=cfg.x_opt,
     )

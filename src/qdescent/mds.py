@@ -9,6 +9,10 @@ The desk optimizer steps against the actual stress slope, X - η(C - B(X))X:
 treating B as frozen (stepping with D) stalls at rescaled configurations with
 nonzero stress, so D is kept for the trace identities and the circuit demo
 while the optimizer uses the corrected operator.
+
+Each public function takes δ, w and X as their types or as raw arrays: an
+instance passes through, a raw array is built into its type and so meets the
+same checks and messages.  The work inside runs on the checked arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import numpy as np
 
 from . import lcu
 from .poly import PauliString, pauli_decompose
+
+_DEMO_ETA = 0.05  # the column demo's step
 
 
 def _square_checked(m, name: str) -> np.ndarray:
@@ -80,10 +86,6 @@ class Configuration:
         object.__setattr__(self, "coords", a)
 
 
-def _as_array(x, attr: str) -> np.ndarray:
-    return getattr(x, attr) if hasattr(x, attr) else np.asarray(x, dtype=float)
-
-
 @dataclass(frozen=True)
 class StressBreakdown:
     """Stress value with its const - 2g + h² decomposition."""
@@ -101,7 +103,10 @@ def distances(x) -> np.ndarray:
     ``np.sum(diff**2, axis=2)`` bit for bit below 8 columns; from 8 columns numpy
     sums pairwise, and the two can differ in the last place.
     """
-    pts = _as_array(x, "coords")
+    return _distances(x.coords if isinstance(x, Configuration) else Configuration(x).coords)
+
+
+def _distances(pts: np.ndarray) -> np.ndarray:
     sq = np.zeros((len(pts), len(pts)))
     for col in pts.T:
         diff = col[:, None] - col
@@ -110,16 +115,19 @@ def distances(x) -> np.ndarray:
 
 
 def _same_points(delta, w, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dl, wt, pts = _as_array(delta, "delta"), _as_array(w, "w"), _as_array(x, "coords")
-    if pts.ndim != 2 or not dl.shape == wt.shape == (len(pts), len(pts)):
-        raise ValueError(f"delta {dl.shape}, weights {wt.shape} and configuration {pts.shape} disagree")
-    return dl, wt, pts
+    """The checked arrays of delta, weights and configuration.  Their shapes are compared before
+    the per-type checks, so a configuration that is not n x m reads as a disagreement too."""
+    inputs = (delta, Dissimilarities, "delta"), (w, Weights, "w"), (x, Configuration, "coords")
+    dl, wt, pts = (np.shape(getattr(v, attr) if isinstance(v, kind) else v) for v, kind, attr in inputs)
+    if len(pts) != 2 or not dl == wt == (pts[0], pts[0]):
+        raise ValueError(f"delta {dl}, weights {wt} and configuration {pts} disagree")
+    return tuple(getattr(v if isinstance(v, kind) else kind(v), attr) for v, kind, attr in inputs)
 
 
 def stress(delta, w, x) -> StressBreakdown:
     """½ΣΣ w (d - δ)² together with its decomposition parts."""
     dl, wt, pts = _same_points(delta, w, x)
-    d = distances(pts)
+    d = _distances(pts)
     const = 0.5 * float(np.sum(wt * dl**2))
     g = 0.5 * float(np.sum(wt * dl * d))
     h2 = 0.5 * float(np.sum(wt * d**2))
@@ -141,27 +149,33 @@ def _laplacian(coef: np.ndarray) -> np.ndarray:
     return lap
 
 
-def b_matrix(delta, w, x) -> np.ndarray:
-    """B(X) = ½ΣΣ w δ k A_ij with k = 1/d where d > 0, else 0."""
-    d = distances(x)
+def _b(dl: np.ndarray, wt: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    d = _distances(pts)
     k = np.zeros_like(d)
     np.divide(1.0, d, out=k, where=d > 0)
-    return _laplacian(_as_array(w, "w") * _as_array(delta, "delta") * k)
+    return _laplacian(wt * dl * k)
+
+
+def b_matrix(delta, w, x) -> np.ndarray:
+    """B(X) = ½ΣΣ w δ k A_ij with k = 1/d where d > 0, else 0."""
+    return _b(*_same_points(delta, w, x))
 
 
 def c_matrix(w) -> np.ndarray:
     """C = ½ΣΣ w A_ij, the weight Laplacian."""
-    return _laplacian(_as_array(w, "w"))
+    return _laplacian(w.w if isinstance(w, Weights) else Weights(w).w)
 
 
 def d_matrix(delta, w, x) -> np.ndarray:
     """D(X) = C - 2B(X)."""
-    return c_matrix(w) - 2.0 * b_matrix(delta, w, x)
+    dl, wt, pts = _same_points(delta, w, x)
+    return _laplacian(wt) - 2.0 * _b(dl, wt, pts)
 
 
 def descent_operator(delta, w, x) -> np.ndarray:
     """C - B(X): the operator whose application steps X down the stress slope."""
-    return c_matrix(w) - b_matrix(delta, w, x)
+    dl, wt, pts = _same_points(delta, w, x)
+    return _laplacian(wt) - _b(dl, wt, pts)
 
 
 def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
@@ -190,11 +204,11 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     dl, wt, x = _same_points(delta, w, x0)
-    c, wdl = c_matrix(wt), wt * dl
+    c, wdl = _laplacian(wt), wt * dl
     c_diag = c.diagonal()
     step = np.empty_like(c)
     step_diag = step.reshape(-1)[:: len(step) + 1]  # a writable view
-    d = distances(x)
+    d = _distances(x)
     trace = [(x.copy(), _stress_total(dl, wt, d))]
     for _ in range(max_iters):
         step.fill(0.0)
@@ -205,7 +219,7 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
         np.subtract(c_diag, rowsum, out=step_diag)
         step *= eta
         x = x - step @ x
-        d = distances(x)  # gives this step's stress and the next step's B(X)
+        d = _distances(x)  # gives this step's stress and the next step's B(X)
         value = _stress_total(dl, wt, d)
         trace.append((x, value))
         if trace[-2][1] - value < tol:
@@ -225,15 +239,15 @@ class ColumnDemoResult:
     max_abs_diff: float
 
 
-def lcu_column_demo(delta, w, x, column: int = 0, eta: float = 0.05) -> ColumnDemoResult:
-    """Run one circuit step of D(X) on a single normalized column of X.
+def lcu_column_demo(delta, w, x, column: int = 0) -> ColumnDemoResult:
+    """Run one circuit step of D(X), with step _DEMO_ETA, on a single normalized column of X.
 
     Needs the point count to be a power of two so D decomposes over Pauli
     strings (p = 1, one term per nonzero component).  This demonstrates
     circuit/oracle agreement on the D operator itself; the production
     optimizer steps with the corrected operator and stays classical.
     """
-    pts = _as_array(x, "coords")
+    dl, wt, pts = _same_points(delta, w, x)
     n = pts.shape[0]
     if n < 2 or n & (n - 1) != 0:
         raise ValueError("column demo needs a power-of-two point count")
@@ -242,7 +256,7 @@ def lcu_column_demo(delta, w, x, column: int = 0, eta: float = 0.05) -> ColumnDe
     # a real symmetric D spans at most the n(n+1)/2 real symmetric Pauli
     # strings; a layout past the qubit cap fails before any string is built
     lcu.RegisterLayout.for_problem(n * (n + 1) // 2, n)
-    dmat = d_matrix(delta, w, pts)
+    dmat = _laplacian(wt) - 2.0 * _b(dl, wt, pts)
     comps = pauli_decompose(dmat)
     if not comps:
         raise ValueError("D(X) is zero; nothing to demonstrate")
@@ -254,14 +268,8 @@ def lcu_column_demo(delta, w, x, column: int = 0, eta: float = 0.05) -> ColumnDe
         raise ValueError("selected column has zero norm")
     unit = col / norm
     factors = [PauliString(lbl) for lbl in labels]
-    vec, prob = lcu.run_lcu_step(factors, weights, unit, eta)
-    classical = unit - eta * dmat @ unit
+    vec, prob = lcu.run_lcu_step(factors, weights, unit, _DEMO_ETA)
+    classical = unit - _DEMO_ETA * dmat @ unit
     classical = classical / np.linalg.norm(classical)
-    return ColumnDemoResult(
-        labels=labels,
-        weights=weights,
-        quantum_point=vec,
-        classical_point=classical,
-        success_prob=prob,
-        max_abs_diff=float(np.max(np.abs(vec - classical))),
-    )
+    return ColumnDemoResult(labels=labels, weights=weights, quantum_point=vec, classical_point=classical,
+                            success_prob=prob, max_abs_diff=float(np.max(np.abs(vec - classical))))

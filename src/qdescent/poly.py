@@ -29,6 +29,7 @@ _PAULI_LETTERS = np.array(list("IXYZ"))
 _PAULI_HALF_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1) / 2  # sigma^T / 2
 
 _EXPAND_GUARD = 2**20
+_DECOMPOSE_TOL = 1e-12  # pauli_decompose drops strings whose weight is at most this
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,11 @@ class UnitaryFactor:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("factor must be a square matrix")
+        if not np.isfinite(m).all():  # before the matmul, which would warn on inf
+            raise ValueError("factor entries must be finite")
         if not np.any(m.imag):
             m = np.ascontiguousarray(m.real)
-        if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= 1e-10:  # NaN fails too
+        if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= 1e-10:
             raise ValueError("factor is not unitary within 1e-10")
         object.__setattr__(self, "matrix", m)
 
@@ -57,10 +60,6 @@ class UnitaryFactor:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
-
-    @staticmethod
-    def from_pauli(label: str) -> "PauliString":
-        return PauliString(label)
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,11 +305,11 @@ def classical_iterate(decomp: TensorDecomposition, x: Point, eta: float) -> tupl
     return Point(y / n), n
 
 
-def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> dict[str, float]:
+def pauli_decompose(matrix: np.ndarray) -> dict[str, float]:
     """Real coefficients of a symmetric matrix over the Pauli-string basis.
 
     Works on 2^q x 2^q real symmetric matrices; coefficients are
-    tr(P M) / 2^q and strings with (numerically) zero weight are dropped.
+    tr(P M) / 2^q and strings with weight at most _DECOMPOSE_TOL are dropped.
     The trace factorizes over qubits: each qubit's (row, column) axis pair is contracted with the
     stacked sigma^T / 2, appending a Pauli axis, in O(q 4^q) with no string built (arXiv:2310.13421).
     """
@@ -325,7 +324,7 @@ def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> dict[str, float]:
     coeffs = t.reshape(-1)  # in itertools.product("IXYZ") order
     if np.max(np.abs(coeffs.imag)) > 1e-9:
         raise ValueError("matrix is not symmetric real: complex Pauli weight found")
-    kept = np.flatnonzero(np.abs(coeffs.real) > tol)
+    kept = np.flatnonzero(np.abs(coeffs.real) > _DECOMPOSE_TOL)
     digits = kept[:, None] >> 2 * np.arange(q - 1, -1, -1) & 3  # base 4, qubit 0 first
     labels = ("".join(row) for row in _PAULI_LETTERS[digits].tolist())
     return dict(zip(labels, coeffs.real[kept].tolist()))
@@ -339,8 +338,8 @@ def factor_to_dict(factor: UnitaryFactor | PauliString) -> dict:
 
 
 def _json_number(value, field: str):
-    """A JSON number as read; a JSON boolean is not one."""
-    if isinstance(value, bool):
+    """A JSON number as read; a JSON boolean or string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"'{field}' must be a number, not {value!r}")
     return value
 
@@ -383,7 +382,7 @@ def decomposition_from_dict(d: dict) -> TensorDecomposition:
         p = _json_count(d["p"], "p")
         prefactor = float(_json_number(d.get("prefactor", 1.0), "prefactor"))
         raw_terms = d["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed decomposition JSON: {exc}") from exc
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ValueError("decomposition needs a non-empty 'terms' list")

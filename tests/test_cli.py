@@ -246,6 +246,21 @@ def test_mds_input_validation(square_delta_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, matrix, message", [
+    ("--weights", np.ones((3, 3)) - np.eye(3), "weights (3, 3) and configuration (4, 2) disagree"),
+    ("--x0", np.zeros((3, 2)), "weights (4, 4) and configuration (3, 2) disagree"),
+    ("--weights", np.eye(4) - 1.0, "weights entries must be nonnegative"),
+    ("--x0", np.full((4, 2), np.inf), "configuration entries must be finite"),
+], ids=["weights-3", "x0-3", "weights-negative", "x0-inf"])
+def test_mds_weights_and_x0_files_are_checked_by_the_optimizer(flag, matrix, message, tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    np.savetxt(path, matrix, delimiter=",")
+    assert main(["mds", "--delta", str(GOLDEN / "square.csv"), flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
+
+
 def test_mds_seeded_runs_identical(square_delta_file, tmp_path, capsys):
     texts = []
     for name in ("r1", "r2"):
@@ -324,7 +339,7 @@ def test_non_finite_input_exits_1(argv, tmp_path, capsys):
     problem = (GOLDEN / "problem.json").read_text()
     inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv"),
               "{nan_delta}": str(nan_delta)}
-    for name, value in (("inf_prefactor", "1e309"), ("nan_prefactor", '"nan"')):
+    for name, value in (("inf_prefactor", "1e309"), ("nan_prefactor", "NaN")):
         path = tmp_path / f"{name}.json"
         path.write_text(problem.replace('"prefactor": 0.5', f'"prefactor": {value}'))
         inputs[f"{{{name}}}"] = str(path)
@@ -410,6 +425,20 @@ def test_decomposition_number_that_is_fractional_or_boolean_exits_1(field, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and named in captured.err
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ('"dim": 2', '"dim": "2"', "'dim' must be a number, not '2'"),
+    ('"p": 2', '"p": "2"', "'p' must be a number, not '2'"),
+    ('"prefactor": 0.5', '"prefactor": "0.5"', "'prefactor' must be a number, not '0.5'"),
+], ids=["dim", "p", "prefactor"])
+def test_decomposition_number_given_as_a_string_exits_1(field, value, named, tmp_path, capsys):
+    problem = tmp_path / "string_number.json"
+    problem.write_text((GOLDEN / "problem.json").read_text().replace(field, value))
+    assert main(["optimize", "--problem", str(problem), "--x0", "0.86,0.50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed decomposition JSON: ") and named in captured.err
 
 
 def test_optimize_sampled_takes_shots(capsys):

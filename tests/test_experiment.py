@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_objective_never_increases_along_either_trajectory():
 
 
 def test_noise_run_still_converges():
-    rows = run_case("s2", noise_eps=0.1, max_iters=12)
+    rows = run_case("s2", noise_eps=0.1, config=replace(ExperimentConfig(), max_iters=12))
     assert rows[-1].label == "converged"
     assert rows[-1].overlap >= 0.99
     for r in rows[1:]:

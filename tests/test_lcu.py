@@ -31,15 +31,15 @@ SQ3 = math.sqrt(3.0)
 def benchmark():
     return TensorDecomposition(
         dim=2, order_p=2,
-        terms=[[UnitaryFactor.from_pauli("-I"), UnitaryFactor.from_pauli("X")],
-               [UnitaryFactor.from_pauli("X"), UnitaryFactor.from_pauli("Z")]],
+        terms=[[PauliString("-I"), PauliString("X")],
+               [PauliString("X"), PauliString("Z")]],
         prefactor=0.5,
     )
 
 
 def identity_problem():
     return TensorDecomposition(
-        dim=2, order_p=1, terms=[[UnitaryFactor.from_pauli("I")]], prefactor=1.0)
+        dim=2, order_p=1, terms=[[PauliString("I")]], prefactor=1.0)
 
 
 def _pad(a, dim):
@@ -232,7 +232,7 @@ def test_prepare_state_amplitudes():
 
 
 def test_zero_weights_give_identity_step():
-    factors = [UnitaryFactor.from_pauli("I"), UnitaryFactor.from_pauli("X")]
+    factors = [PauliString("I"), PauliString("X")]
     x = np.array([0.6, 0.8])
     vec, prob = run_lcu_step(factors, np.zeros(2), x, eta=1.0)
     prep = build_prepare(np.zeros(2), eta=1.0)

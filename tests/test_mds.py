@@ -352,3 +352,47 @@ def test_pair_matrices_reject_non_finite_entries(kind, bad):
 def test_mds_optimize_rejects_non_finite_step_and_tol(kwargs):
     with pytest.raises(ValueError, match="finite"):
         mds_optimize(square_delta(), Weights.uniform(4), SQUARE + 0.1, **kwargs)
+
+
+def _break(part, index, value):
+    """The square's raw (delta, weights, configuration) with one entry of one part set."""
+    arrays = [distances(SQUARE), Weights.uniform(4).w, SQUARE + 0.1]
+    arrays[part][index] = value
+    if part < 2:  # a pair matrix stays symmetric
+        arrays[part][index[::-1]] = value
+    return arrays
+
+
+RAW_CASES = {  # the message each raw input must fail with, as its typed form does
+    "delta-nan": ("delta entries must be finite", _break(0, (0, 1), np.nan)),
+    "delta-inf": ("delta entries must be finite", _break(0, (0, 1), np.inf)),
+    "delta-asymmetric": ("delta must be symmetric",
+                         [distances(SQUARE) + np.triu(np.ones((4, 4)), 1), Weights.uniform(4).w, SQUARE]),
+    "delta-diagonal": ("delta must have a zero diagonal", _break(0, (2, 2), 0.5)),
+    "weights-nan": ("weights entries must be finite", _break(1, (1, 3), np.nan)),
+    "weights-negative": ("weights entries must be nonnegative", _break(1, (0, 1), -5.0)),
+    "config-inf": ("configuration entries must be finite", _break(2, (3, 1), -np.inf)),
+    "config-nan": ("configuration entries must be finite", _break(2, (0, 0), np.nan)),
+    "weights-8": ("disagree", [distances(SQUARE), Weights.uniform(8).w, SQUARE]),
+    "config-3": ("disagree", [distances(SQUARE), Weights.uniform(4).w, TRIANGLE]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_CASES))
+@pytest.mark.parametrize("entry", [mds_optimize, stress, lcu_column_demo, b_matrix, d_matrix, descent_operator],
+                         ids=lambda f: f.__name__)
+def test_raw_arrays_fail_with_the_typed_message(entry, case):
+    message, (delta, w, x) = RAW_CASES[case]
+    with pytest.raises(ValueError) as typed:
+        entry(Dissimilarities(delta), Weights(w), Configuration(x))
+    with pytest.raises(ValueError, match=message) as raw:
+        entry(delta, w, x)
+    assert str(raw.value) == str(typed.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_c_matrix_checks_raw_weights(bad):
+    w = Weights.uniform(4).w
+    w[0, 2] = w[2, 0] = bad
+    with pytest.raises(ValueError, match="weights entries must be"):
+        c_matrix(w)

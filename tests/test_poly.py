@@ -30,8 +30,8 @@ SQ3 = math.sqrt(3.0)
 def benchmark():
     return TensorDecomposition(
         dim=2, order_p=2,
-        terms=[[UnitaryFactor.from_pauli("-I"), UnitaryFactor.from_pauli("X")],
-               [UnitaryFactor.from_pauli("X"), UnitaryFactor.from_pauli("Z")]],
+        terms=[[PauliString("-I"), PauliString("X")],
+               [PauliString("X"), PauliString("Z")]],
         prefactor=0.5,
     )
 
@@ -91,7 +91,7 @@ def test_point_requires_unit_norm():
 
 
 def test_decomposition_shape_validation():
-    x = UnitaryFactor.from_pauli("X")
+    x = PauliString("X")
     with pytest.raises(ValueError):
         TensorDecomposition(dim=2, order_p=2, terms=[[x]], prefactor=1.0)
     with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ def test_coefficients_at_optimum():
 
 
 def test_coefficients_single_factor_empty_product():
-    d = TensorDecomposition(dim=2, order_p=1, terms=[[UnitaryFactor.from_pauli("Z")]], prefactor=0.7)
+    d = TensorDecomposition(dim=2, order_p=1, terms=[[PauliString("Z")]], prefactor=0.7)
     cs = coefficients(d, Point(np.array([1.0, 0.0])))
     assert np.allclose(cs.c, [0.7])
     assert np.isclose(cs.total_weight, 1.7)
@@ -267,8 +267,8 @@ def test_json_round_trip_paulis_and_dense():
     dense = UnitaryFactor(random_symmetric_unitary(rng, 2))
     d = TensorDecomposition(
         dim=2, order_p=2,
-        terms=[[UnitaryFactor.from_pauli("-I"), dense],
-               [UnitaryFactor.from_pauli("X"), UnitaryFactor.from_pauli("Z")]],
+        terms=[[PauliString("-I"), dense],
+               [PauliString("X"), PauliString("Z")]],
         prefactor=0.5,
     )
     back = decomposition_from_dict(decomposition_to_dict(d))
@@ -313,19 +313,18 @@ def test_pauli_string_matrix_equals_kron_product():
             PauliString(bad)
 
 
-def test_from_pauli_gives_a_pauli_string():
-    f = UnitaryFactor.from_pauli("-I")
-    assert isinstance(f, PauliString) and f.dim == 2
-    assert np.array_equal(f.matrix, -np.eye(2))
-
-
 @pytest.mark.parametrize("prefactor", [math.nan, math.inf, -math.inf, "nan", 1e309])
 def test_decomposition_rejects_non_finite_prefactor(prefactor):
-    x = UnitaryFactor.from_pauli("X")
+    x = PauliString("X")
     with pytest.raises(ValueError, match="prefactor must be finite"):
         TensorDecomposition(dim=2, order_p=1, terms=[[x]], prefactor=prefactor)
     with pytest.raises(ValueError, match="prefactor must be finite"):
-        decomposition_from_dict({"dim": 2, "p": 1, "prefactor": prefactor, "terms": [[{"pauli": "X"}]]})
+        decomposition_from_dict({"dim": 2, "p": 1, "prefactor": float(prefactor), "terms": [[{"pauli": "X"}]]})
+
+
+def test_json_prefactor_past_the_float_range_is_malformed():
+    with pytest.raises(ValueError, match="malformed decomposition JSON: int too large"):
+        decomposition_from_dict({"dim": 2, "p": 1, "prefactor": 10**400, "terms": [[{"pauli": "X"}]]})
 
 
 @pytest.mark.parametrize("label", [["X"], 3, {"X": 1}, None, "XX", "-XZ", "X" * 40])

@@ -1,13 +1,25 @@
-"""Property tests over Pauli strings, the circuit and the oracle (derandomized, see conftest)."""
+"""Property tests over Pauli strings, the circuit, the oracle and the input boundaries
+(derandomized, see conftest)."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import aligned, kron_pauli, random_point, random_symmetric_unitary
+from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
 from qdescent.errors import DegenerateStepError
 from qdescent.lcu import run_iteration
-from qdescent.poly import PauliString, TensorDecomposition, UnitaryFactor, classical_iterate, coefficients
+from qdescent.mds import Configuration, Dissimilarities, Weights, distances, lcu_column_demo, mds_optimize, stress
+from qdescent.poly import (
+    PauliString,
+    Point,
+    TensorDecomposition,
+    UnitaryFactor,
+    classical_iterate,
+    coefficients,
+    decomposition_from_dict,
+    decomposition_to_dict,
+)
 
 signed_labels = st.tuples(st.sampled_from(["", "-"]), st.text(alphabet="IXYZ", min_size=1, max_size=6))
 
@@ -53,3 +65,37 @@ def test_circuit_matches_oracle_and_success_probability_law(problem):
     assert np.max(np.abs(point - oracle.coords)) <= 1e-10
     beta = 1.0 + eta * float(np.sum(np.abs(coefficients(decomp, x).c)))
     assert abs(outcome.success_prob - (step_norm / beta) ** 2) <= 1e-12
+
+
+@given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**32 - 1))
+def test_non_finite_input_is_rejected_at_every_boundary(bad, seed):
+    rng = np.random.default_rng(seed)
+
+    def spoiled(a):
+        """A copy of a with one entry, chosen at random, set to bad."""
+        out = np.array(a)
+        out.flat[rng.integers(out.size)] = bad
+        return out
+
+    n = int(rng.choice([2, 4, 8]))
+    decomp = random_decomposition(rng)
+    bad_factor = decomposition_to_dict(decomp)
+    dense = bad_factor["terms"][0][0]["dense"]
+    dense[rng.integers(len(dense))][rng.integers(2)] = bad
+    mds_inputs = [distances(rng.standard_normal((n, 2))), Weights.uniform(n).w, rng.standard_normal((n, 2))]
+    checks = [
+        lambda: Point(spoiled(random_point(rng, n).coords)),
+        lambda: UnitaryFactor(spoiled(random_symmetric_unitary(rng, n))),
+        lambda: TensorDecomposition(dim=2, order_p=1, terms=[[PauliString("X")]], prefactor=bad),
+        lambda: decomposition_from_dict(bad_factor),
+        lambda: decomposition_from_dict({**decomposition_to_dict(decomp), "prefactor": bad}),
+        lambda: Dissimilarities(spoiled(mds_inputs[0])),
+        lambda: Weights(spoiled(mds_inputs[1])),
+        lambda: Configuration(spoiled(mds_inputs[2])),
+    ]
+    for part in range(3):  # raw arrays meet the mds types' checks
+        raw = [spoiled(a) if k == part else a for k, a in enumerate(mds_inputs)]
+        checks += [lambda f=f, raw=raw: f(*raw) for f in (mds_optimize, stress, lcu_column_demo)]
+    for check in checks:
+        with pytest.raises(ValueError):
+            check()
