@@ -30,6 +30,7 @@ from .mds import (
 from .poly import (
     CoefficientSet,
     PauliString,
+    PauliStrings,
     Point,
     TensorDecomposition,
     UnitaryFactor,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import poly, sim
 from .errors import CapacityError, DegenerateStepError, PostselectionError
-from .poly import CoefficientSet, PauliString, Point, TensorDecomposition, UnitaryFactor
+from .poly import CoefficientSet, PauliString, PauliStrings, Point, TensorDecomposition, UnitaryFactor
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,15 @@ def _on_select(block: np.ndarray, column: np.ndarray, v: np.ndarray | None,
     return block - (2.0 / (w @ w)) * np.outer(w, w @ block)
 
 
-def run_lcu_step(factors: list[UnitaryFactor | PauliString], c: np.ndarray, x_vec: np.ndarray,
-                 eta: float) -> tuple[np.ndarray, float]:
+def run_lcu_step(factors: list[UnitaryFactor | PauliString] | PauliStrings, c: np.ndarray,
+                 x_vec: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
     """Execute one circuit step for explicit factors and weights.
 
     The state is held as a (flag, select, work) array of shape (2, 2^t1, 2^n_work), real when
     every factor is real: v0 acts on the flag axis of select row 0, V on the flag=1 slice,
-    and factor m on select row m of that slice; no gate is checked here.
+    and factor m on select row m of that slice; no gate is checked here.  The factors are a
+    list, applied one select row at a time, or a PauliStrings table, applied to all K rows in
+    one gather with the same rounding.
 
     Returns (post-selected working vector of len(x_vec), success probability).
     The weights c may come from a CoefficientSet or any other real linear
@@ -147,14 +149,20 @@ def run_lcu_step(factors: list[UnitaryFactor | PauliString], c: np.ndarray, x_ve
     layout = RegisterLayout.for_problem(len(factors), n)
     prep = build_prepare(c, eta)
 
-    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=np.result_type(*{f.dtype for f in factors}))
+    table = isinstance(factors, PauliStrings)
+    dtype = factors.dtype if table else np.result_type(*{f.dtype for f in factors})
+    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=dtype)
     state[0, 0, :n] = x_vec
     # t1 <= 2, as in every golden run, keeps dense V: the rank-one form moves the last digits of 4 golden outputs
     v = complete_from_first_column(prep.column) if layout.t1 <= 2 else None
     state[:, 0] = prep.v0 @ state[:, 0]  # before prepare only select row 0 holds amplitude
     state[1] = _on_select(state[1], prep.column, v)
-    for m, factor in enumerate(factors):
-        state[1, m, :n] = prep.signs[m] * factor.apply(state[1, m, :n])
+    if table:
+        k = len(factors)
+        state[1, :k, :n] = prep.signs[:, None] * factors.apply(state[1, :k, :n])
+    else:
+        for m, factor in enumerate(factors):
+            state[1, m, :n] = prep.signs[m] * factor.apply(state[1, m, :n])
     state[1] = _on_select(state[1], prep.column, v, transpose=True)
 
     kept = (prep.v0.T @ state[:, 0])[0]  # after un-prepare only the kept row is read

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcu
-from .poly import PauliString, pauli_decompose
+from .poly import PauliStrings, pauli_decompose
 
 _DEMO_ETA = 0.05  # the column demo's step
 
@@ -81,6 +81,8 @@ class Configuration:
         a = np.asarray(self.coords, dtype=float)
         if a.ndim != 2:
             raise ValueError("configuration must be an n x m matrix")
+        if a.shape[1] < 1:
+            raise ValueError("configuration needs at least one column (embedding dimension)")
         if not np.all(np.isfinite(a)):
             raise ValueError("configuration entries must be finite")
         object.__setattr__(self, "coords", a)
@@ -267,8 +269,7 @@ def lcu_column_demo(delta, w, x, column: int = 0) -> ColumnDemoResult:
     if norm < 1e-12:
         raise ValueError("selected column has zero norm")
     unit = col / norm
-    factors = [PauliString(lbl) for lbl in labels]
-    vec, prob = lcu.run_lcu_step(factors, weights, unit, _DEMO_ETA)
+    vec, prob = lcu.run_lcu_step(PauliStrings(labels), weights, unit, _DEMO_ETA)
     classical = unit - _DEMO_ETA * dmat @ unit
     classical = classical / np.linalg.norm(classical)
     return ColumnDemoResult(labels=labels, weights=weights, quantum_point=vec, classical_point=classical,

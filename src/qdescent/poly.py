@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sim
 from .errors import CapacityError, DegenerateStepError
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -72,24 +73,43 @@ def _row_phases(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(2**q), np.array([1, -1j, -1, 1j])[:, None] * (1 - 2 * parity)
 
 
+def _pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, 2^q) column and phase tables of K Pauli labels on the same q qubits, parsed at
+    once (qubit 0 the most significant bit).  Row r of string k holds (-i)^#Y * (-1)^popcount(r
+    & zmask), negated for a leading "-", in column r ^ xmask, where xmask marks the X or Y
+    letters and zmask the Y or Z letters; more than sim.MAX_QUBITS qubits is refused before the
+    2^q tables are allocated."""
+    bodies = [lbl.removeprefix("-") if isinstance(lbl, str) else "" for lbl in labels]
+    joined, q = "".join(bodies), len(bodies[0]) if bodies else 0
+    if not q or joined.strip("IXYZ") or set(map(len, bodies)) != {q}:
+        for lbl, body in zip(labels, bodies):
+            if not body or body.strip("IXYZ"):
+                raise ValueError(f"unknown Pauli string {lbl!r}")
+        raise ValueError("need one or more Pauli strings, all on the same number of qubits")
+    if q > sim.MAX_QUBITS:
+        raise CapacityError(f"Pauli string needs {q} qubits (cap {sim.MAX_QUBITS})")
+    letters = np.frombuffer(joined.encode(), dtype=np.uint8).reshape(len(bodies), q)
+    is_y = letters == ord("Y")
+    place = 1 << np.arange(q - 1, -1, -1)
+    xmask = ((letters == ord("X")) | is_y) @ place
+    zmask = ((letters == ord("Z")) | is_y) @ place
+    negated = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels)) - q
+    k = (is_y.sum(axis=1) + 2 * negated) % 4  # a leading "-" is (-i)^2
+    r, table = _row_phases(q)
+    return r ^ xmask[:, None], table[k[:, None], r & zmask[:, None]]
+
+
 @dataclass(frozen=True)
 class PauliString:
-    """A Pauli string such as "XZ" or "-YY", applied without a matrix (qubit 0 the most
-    significant bit).  Row r holds (-i)^#Y * (-1)^popcount(r & zmask), negated for a leading
-    "-", in column r ^ xmask; a phased permutation is unitary by construction, so A v is
-    phase * v[cols] in O(N) and nothing is checked."""
+    """A Pauli string such as "XZ" or "-YY", applied without a matrix: a phased permutation,
+    unitary by construction, so A v is phase * v[cols] in O(N) and nothing is checked."""
 
     label: str
-    _X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
     def __post_init__(self):
-        body = self.label.removeprefix("-") if isinstance(self.label, str) else ""
-        if not body or set(body) - set("IXYZ"):
-            raise ValueError(f"unknown Pauli string {self.label!r}")
-        r, table = _row_phases(len(body))
-        k = (body.count("Y") + 2 * (body != self.label)) % 4  # a leading "-" is (-i)^2
-        object.__setattr__(self, "cols", r ^ int(body.translate(self._X_BITS), 2))
-        object.__setattr__(self, "phase", table[k][r & int(body.translate(self._Z_BITS), 2)])
+        cols, phase = _pauli_tables([self.label])
+        object.__setattr__(self, "cols", cols[0])
+        object.__setattr__(self, "phase", phase[0])
 
     @property
     def dim(self) -> int:
@@ -107,6 +127,36 @@ class PauliString:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.phase * v[self.cols]
+
+
+@dataclass(frozen=True)
+class PauliStrings:
+    """K Pauli strings on the same qubits as one (K, N) table: row k of ``cols`` and ``phase`` is
+    PauliString(labels[k]).cols and .phase, so K stacked rows apply as one gather."""
+
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        cols, phase = _pauli_tables(labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "phase", phase)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def dim(self) -> int:
+        return self.cols.shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.phase.dtype
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """Row k of the (K, N) rows times string k."""
+        return self.phase * np.take_along_axis(rows, self.cols, axis=1)
 
 
 @dataclass(frozen=True)

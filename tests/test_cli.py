@@ -448,6 +448,22 @@ def test_optimize_sampled_takes_shots(capsys):
     assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
 
 
+def test_pauli_factor_past_qubit_cap_exits_1(tmp_path, capsys):
+    problem = tmp_path / "wide_pauli.json"
+    problem.write_text(json.dumps({"dim": 2**21, "p": 1, "terms": [[{"pauli": "X" * 21}]]}))
+    assert main(["optimize", "--problem", str(problem), "--x0", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Pauli string needs 21 qubits (cap 20)\n"
+
+
+def test_mds_without_embedding_columns_exits_1(capsys):
+    assert main(["mds", "--delta", str(GOLDEN / "square.csv"), "--seed", "1", "--dim", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "at least one column" in captured.err
+
+
 @pytest.mark.parametrize("command", ["optimize", "estimate-coeffs"])
 def test_layout_past_qubit_cap_exits_1(command, monkeypatch, capsys):
     # the golden problem (N=2, K*p=4) needs 1 flag + 2 select + 1 work qubit

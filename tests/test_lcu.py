@@ -17,6 +17,7 @@ from qdescent.lcu import (
 )
 from qdescent.poly import (
     PauliString,
+    PauliStrings,
     Point,
     TensorDecomposition,
     UnitaryFactor,
@@ -144,6 +145,10 @@ def test_reference_instances_cover_both_prepare_branches_and_factor_kinds():
     t1s = {RegisterLayout.for_problem(d.flat_count, d.dim).t1 for d, _ in cases}
     assert min(t1s) <= 2 < max(t1s)
     assert {type(f) for d, _ in cases for f in d.flattened_factors()} == {UnitaryFactor, PauliString}
+    # all-Pauli instances, which also run as a PauliStrings table, sit on both sides of t1 = 2
+    pauli_t1s = {RegisterLayout.for_problem(d.flat_count, d.dim).t1 for d, _ in cases
+                 if all(isinstance(f, PauliString) for f in d.flattened_factors())}
+    assert min(pauli_t1s) <= 2 < max(pauli_t1s)
     # run_lcu_step and estimate_b keep a real state for all-real factors and a complex one otherwise
     state_dtypes = {np.result_type(*(f.dtype for f in d.flattened_factors())) for d, _ in cases}
     assert state_dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
@@ -161,6 +166,11 @@ def test_kernel_matches_gate_level_reference(decomp, x):
     assert abs(prob - ref_prob) <= 1e-12
     assert np.max(np.abs(vec - ref_vec)) <= 1e-12
     assert np.max(np.abs(estimate_b(decomp, x) - reference_estimate_b(decomp, x))) <= 1e-12
+    if all(isinstance(f, PauliString) for f in factors):  # the one-gather select rounds as the list
+        table_vec, table_prob = run_lcu_step(PauliStrings([f.label for f in factors]), c, x.coords, eta=0.7)
+        assert abs(table_prob - ref_prob) <= 1e-12
+        assert np.max(np.abs(table_vec - ref_vec)) <= 1e-12
+        assert table_prob == prob and np.array_equal(table_vec, vec)
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])

@@ -9,6 +9,7 @@ from qdescent import poly
 from qdescent.errors import CapacityError, DegenerateStepError
 from qdescent.poly import (
     PauliString,
+    PauliStrings,
     Point,
     TensorDecomposition,
     UnitaryFactor,
@@ -311,6 +312,24 @@ def test_pauli_string_matrix_equals_kron_product():
     for bad in ("XA", "", "-", "--X", ["X"], None):
         with pytest.raises(ValueError, match="unknown Pauli string"):
             PauliString(bad)
+        with pytest.raises(ValueError, match="unknown Pauli string"):
+            PauliStrings(["XZ", bad])
+
+
+@pytest.mark.parametrize("labels", [[], ["X", "XZ"], ["-XZ", "Z"]])
+def test_pauli_table_needs_strings_on_one_width(labels):
+    with pytest.raises(ValueError, match="same number of qubits"):
+        PauliStrings(labels)
+
+
+def test_pauli_string_past_the_qubit_cap_is_refused_before_allocating():
+    for label in ("I" * 21, "-" + "X" * 21, "Z" * 30):
+        with pytest.raises(CapacityError, match=f"needs {len(label.lstrip('-'))} qubits"):
+            PauliString(label)
+        with pytest.raises(CapacityError):
+            PauliStrings([label, label])
+    with pytest.raises(CapacityError):
+        decomposition_from_dict({"dim": 2**21, "p": 1, "terms": [[{"pauli": "X" * 21}]]})
 
 
 @pytest.mark.parametrize("prefactor", [math.nan, math.inf, -math.inf, "nan", 1e309])

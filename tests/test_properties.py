@@ -12,6 +12,7 @@ from qdescent.lcu import run_iteration
 from qdescent.mds import Configuration, Dissimilarities, Weights, distances, lcu_column_demo, mds_optimize, stress
 from qdescent.poly import (
     PauliString,
+    PauliStrings,
     Point,
     TensorDecomposition,
     UnitaryFactor,
@@ -31,6 +32,28 @@ def test_pauli_string_is_the_kron_product(signed, seed):
     assert np.array_equal(string.matrix, ref)
     v = np.random.default_rng(seed).standard_normal((len(ref), 2)) @ np.array([1, 1j])
     assert np.max(np.abs(string.apply(v) - ref @ v)) <= 1e-15
+
+
+@st.composite
+def same_width_labels(draw):
+    """One to eight signed Pauli labels that all act on the same number of qubits."""
+    q = draw(st.integers(1, 6))
+    body = st.text(alphabet="IXYZ", min_size=q, max_size=q)
+    return draw(st.lists(st.tuples(st.sampled_from(["", "-"]), body).map("".join), min_size=1, max_size=8))
+
+
+@given(same_width_labels(), st.integers(0, 2**32 - 1))
+def test_pauli_table_rows_are_the_strings(labels, seed):
+    table = PauliStrings(labels)
+    strings = [PauliString(label) for label in labels]
+    assert table.labels == tuple(labels) and len(table) == len(labels)
+    for k, string in enumerate(strings):
+        assert np.array_equal(table.cols[k], string.cols) and np.array_equal(table.phase[k], string.phase)
+    rows = np.random.default_rng(seed).standard_normal((len(labels), table.dim, 2)) @ np.array([1, 1j])
+    applied = table.apply(rows)
+    for k, string in enumerate(strings):
+        assert np.array_equal(applied[k], string.apply(rows[k]))
+        assert np.max(np.abs(applied[k] - string.matrix @ rows[k])) <= 1e-15
 
 
 @st.composite
