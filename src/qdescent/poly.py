@@ -147,10 +147,6 @@ class PauliStrings:
         return len(self.labels)
 
     @property
-    def dim(self) -> int:
-        return self.cols.shape[1]
-
-    @property
     def dtype(self) -> np.dtype:
         return self.phase.dtype
 

@@ -49,7 +49,7 @@ def test_pauli_table_rows_are_the_strings(labels, seed):
     assert table.labels == tuple(labels) and len(table) == len(labels)
     for k, string in enumerate(strings):
         assert np.array_equal(table.cols[k], string.cols) and np.array_equal(table.phase[k], string.phase)
-    rows = np.random.default_rng(seed).standard_normal((len(labels), table.dim, 2)) @ np.array([1, 1j])
+    rows = np.random.default_rng(seed).standard_normal((*table.cols.shape, 2)) @ np.array([1, 1j])
     applied = table.apply(rows)
     for k, string in enumerate(strings):
         assert np.array_equal(applied[k], string.apply(rows[k]))
