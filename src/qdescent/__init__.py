@@ -29,7 +29,6 @@ from .mds import (
 )
 from .poly import (
     CoefficientSet,
-    PauliString,
     PauliStrings,
     Point,
     TensorDecomposition,

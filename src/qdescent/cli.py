@@ -46,10 +46,21 @@ def _parse_point(text: str, dim: int) -> poly.Point:
     return poly.Point.normalized(vals)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _json_numbers(value, field: str):
+    """Nested JSON lists of JSON numbers, by the problem file's rule."""
+    if isinstance(value, list):
+        return [_json_numbers(v, field) for v in value]
+    return poly._json_number(value, field)
+
+
+def _load_matrix(path: str, flag: str) -> np.ndarray:
     if path.endswith(".json"):
         with open(path) as fh:
-            return np.asarray(json.load(fh), dtype=float)
+            rows = _json_numbers(json.load(fh), f"{flag} entry")
+        try:
+            return np.asarray(rows, dtype=float)
+        except OverflowError as exc:
+            raise ValueError(f"{flag} entry past the float range: {exc}") from exc
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
@@ -150,12 +161,12 @@ def cmd_repro(args) -> int:
 
 def cmd_mds(args) -> int:
     # mds_optimize checks the weights and x0 files, and that all three describe the same points
-    delta = mds.Dissimilarities(_load_matrix(args.delta))
-    weights = mds.Weights.uniform(delta.n) if args.weights is None else _load_matrix(args.weights)
+    delta = mds.Dissimilarities(_load_matrix(args.delta, "--delta"))
+    weights = mds.Weights.uniform(delta.n) if args.weights is None else _load_matrix(args.weights, "--weights")
     if args.x0 is None:
         x0 = np.random.default_rng(args.seed).standard_normal((delta.n, args.dim))
     else:
-        x0 = _load_matrix(args.x0)
+        x0 = _load_matrix(args.x0, "--x0")
     trace = mds.mds_optimize(delta, weights, x0, eta=args.eta,
                              max_iters=args.max_iters, tol=args.tol)
     csv_text = "iter,stress\n" + "\n".join(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lcu
-from .poly import PauliString, Point, TensorDecomposition, evaluate_objective
+from .poly import Point, TensorDecomposition, evaluate_objective
 
 
 def benchmark_decomposition() -> TensorDecomposition:
@@ -23,10 +23,7 @@ def benchmark_decomposition() -> TensorDecomposition:
     return TensorDecomposition(
         dim=2,
         order_p=2,
-        terms=[
-            [PauliString("-I"), PauliString("X")],
-            [PauliString("X"), PauliString("Z")],
-        ],
+        terms=[["-I", "X"], ["X", "Z"]],
         prefactor=0.5,
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import poly, sim
 from .errors import CapacityError, DegenerateStepError, PostselectionError
-from .poly import CoefficientSet, PauliString, PauliStrings, Point, TensorDecomposition, UnitaryFactor
+from .poly import CoefficientSet, Factors, Point, TensorDecomposition
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,12 @@ def _on_select(block: np.ndarray, column: np.ndarray, v: np.ndarray | None,
     return block - (2.0 / (w @ w)) * np.outer(w, w @ block)
 
 
-def run_lcu_step(factors: list[UnitaryFactor | PauliString] | PauliStrings, c: np.ndarray,
-                 x_vec: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
+def run_lcu_step(factors: Factors, c: np.ndarray, x_vec: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
     """Execute one circuit step for explicit factors and weights.
 
     The state is held as a (flag, select, work) array of shape (2, 2^t1, 2^n_work), real when
     every factor is real: v0 acts on the flag axis of select row 0, V on the flag=1 slice,
-    and factor m on select row m of that slice; no gate is checked here.  The factors are a
-    list, applied one select row at a time, or a PauliStrings table, applied to all K rows in
-    one gather with the same rounding.
+    and factor m on select row m of that slice (poly.apply_factors); no gate is checked here.
 
     Returns (post-selected working vector of len(x_vec), success probability).
     The weights c may come from a CoefficientSet or any other real linear
@@ -149,20 +146,14 @@ def run_lcu_step(factors: list[UnitaryFactor | PauliString] | PauliStrings, c: n
     layout = RegisterLayout.for_problem(len(factors), n)
     prep = build_prepare(c, eta)
 
-    table = isinstance(factors, PauliStrings)
-    dtype = factors.dtype if table else np.result_type(*{f.dtype for f in factors})
-    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=dtype)
+    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=poly.factors_dtype(factors))
     state[0, 0, :n] = x_vec
     # t1 <= 2, as in every golden run, keeps dense V: the rank-one form moves the last digits of 4 golden outputs
     v = complete_from_first_column(prep.column) if layout.t1 <= 2 else None
     state[:, 0] = prep.v0 @ state[:, 0]  # before prepare only select row 0 holds amplitude
     state[1] = _on_select(state[1], prep.column, v)
-    if table:
-        k = len(factors)
-        state[1, :k, :n] = prep.signs[:, None] * factors.apply(state[1, :k, :n])
-    else:
-        for m, factor in enumerate(factors):
-            state[1, m, :n] = prep.signs[m] * factor.apply(state[1, m, :n])
+    k = len(factors)
+    state[1, :k, :n] = prep.signs[:, None] * poly.apply_factors(factors, state[1, :k, :n])
     state[1] = _on_select(state[1], prep.column, v, transpose=True)
 
     kept = (prep.v0.T @ state[:, 0])[0]  # after un-prepare only the kept row is read
@@ -203,7 +194,7 @@ def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
 def _step(decomp: TensorDecomposition, x: Point, coeffs: CoefficientSet, eta: float,
           mode: str, shots: int | None, seed: int | None) -> IterationOutcome:
     """run_iteration from the coefficients already formed at x."""
-    vec, prob = run_lcu_step(decomp.flattened_factors(), coeffs.c, x.coords, eta)
+    vec, prob = run_lcu_step(decomp.factors, coeffs.c, x.coords, eta)
     if mode == "sampled" and np.random.default_rng(seed).binomial(shots, prob) == 0:
         raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
     return IterationOutcome(next_point=Point(vec), success_prob=prob, expected_bernoulli_reps=1.0 / prob,
@@ -230,8 +221,8 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
 
     rng = np.random.default_rng(seed) if mode == "sampled" else None
     out = np.empty(decomp.flat_count)
-    for m, factor in enumerate(decomp.flattened_factors()):
-        branch = factor.apply(start)
+    branches = poly.apply_factors(decomp.factors, np.broadcast_to(start, (decomp.flat_count, decomp.dim)))
+    for m, branch in enumerate(branches):
         # post-selecting select outcome m renormalizes its branch
         branch = branch / np.sqrt(float(np.sum(np.abs(branch) ** 2)))
         overlap = complex(x.coords @ branch)

@@ -13,7 +13,6 @@ factors forms every A_m x, which gives b and D x alike; D is never built.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,25 +58,13 @@ class UnitaryFactor:
     def dtype(self) -> np.dtype:
         return self.matrix.dtype
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-
-@functools.lru_cache(maxsize=None)
-def _row_phases(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows r < 2^q and the (4, 2^q) table (-i)^k * (-1)^popcount(r), complex even where
-    real: real phases would move 6 golden outputs."""
-    parity = np.zeros(1, dtype=np.int8)
-    for _ in range(q):
-        parity = np.concatenate([parity, parity ^ 1])
-    return np.arange(2**q), np.array([1, -1j, -1, 1j])[:, None] * (1 - 2 * parity)
-
 
 def _pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
     """The (K, 2^q) column and phase tables of K Pauli labels on the same q qubits, parsed at
     once (qubit 0 the most significant bit).  Row r of string k holds (-i)^#Y * (-1)^popcount(r
     & zmask), negated for a leading "-", in column r ^ xmask, where xmask marks the X or Y
-    letters and zmask the Y or Z letters; more than sim.MAX_QUBITS qubits is refused before the
+    letters and zmask the Y or Z letters; phases stay complex even where real, because real
+    phases would move 6 golden outputs.  More than sim.MAX_QUBITS qubits is refused before the
     2^q tables are allocated."""
     bodies = [lbl.removeprefix("-") if isinstance(lbl, str) else "" for lbl in labels]
     joined, q = "".join(bodies), len(bodies[0]) if bodies else 0
@@ -95,44 +82,19 @@ def _pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
     zmask = ((letters == ord("Z")) | is_y) @ place
     negated = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels)) - q
     k = (is_y.sum(axis=1) + 2 * negated) % 4  # a leading "-" is (-i)^2
-    r, table = _row_phases(q)
-    return r ^ xmask[:, None], table[k[:, None], r & zmask[:, None]]
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A Pauli string such as "XZ" or "-YY", applied without a matrix: a phased permutation,
-    unitary by construction, so A v is phase * v[cols] in O(N) and nothing is checked."""
-
-    label: str
-
-    def __post_init__(self):
-        cols, phase = _pauli_tables([self.label])
-        object.__setattr__(self, "cols", cols[0])
-        object.__setattr__(self, "phase", phase[0])
-
-    @property
-    def dim(self) -> int:
-        return self.cols.shape[0]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.phase.dtype
-
-    @property
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[np.arange(self.dim), self.cols] = self.phase
-        return out
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.phase * v[self.cols]
+    parity = np.zeros(1, dtype=np.int8)  # parity[r] = popcount(r) mod 2
+    for _ in range(q):
+        parity = np.concatenate([parity, parity ^ 1])
+    r = np.arange(2**q)
+    phase = np.array([1, -1j, -1, 1j])[k, None] * (1 - 2 * parity[r & zmask[:, None]])
+    return r ^ xmask[:, None], phase
 
 
 @dataclass(frozen=True)
 class PauliStrings:
-    """K Pauli strings on the same qubits as one (K, N) table: row k of ``cols`` and ``phase`` is
-    PauliString(labels[k]).cols and .phase, so K stacked rows apply as one gather."""
+    """K Pauli strings such as "XZ" or "-YY" on the same qubits, as one (K, N) table: string k
+    maps v to phase[k] * v[cols[k]], a phased permutation, unitary by construction, so nothing
+    is checked and K rows apply as one gather."""
 
     labels: tuple[str, ...]
 
@@ -146,18 +108,39 @@ class PauliStrings:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.phase.dtype
 
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        """Row k of the (K, N) rows times string k."""
-        return self.phase * np.take_along_axis(rows, self.cols, axis=1)
+Factors = PauliStrings | tuple[UnitaryFactor, ...]
+
+
+def apply_factors(factors: Factors, rows: np.ndarray) -> np.ndarray:
+    """Row m of the (K, N) rows times factor m: one gather for a table, one matvec per dense
+    factor.  Either rounds each entry as factor m applied to row m alone."""
+    if isinstance(factors, PauliStrings):
+        return factors.phase * rows[np.arange(len(factors))[:, None], factors.cols]
+    return np.array([f.matrix @ row for f, row in zip(factors, rows)])
+
+
+def factors_dtype(factors: Factors) -> np.dtype:
+    """The dtype of apply_factors on real rows: complex for a table, whose phases are complex."""
+    if isinstance(factors, PauliStrings):
+        return factors.phase.dtype
+    return np.result_type(*(f.dtype for f in factors))
+
+
+def factor_matrices(factors: Factors, n: int) -> np.ndarray:
+    """The (K, n, n) dense matrices of K factors on dimension n: column j is apply_factors on e_j."""
+    return np.stack([apply_factors(factors, np.broadcast_to(e, (len(factors), n))) for e in np.eye(n)], axis=2)
 
 
 @dataclass(frozen=True)
 class TensorDecomposition:
-    """A = sum_a A_1^a (x) ... (x) A_p^a, stored as K terms of p factors plus a scalar prefactor."""
+    """A = sum_a A_1^a (x) ... (x) A_p^a, stored as K terms of p factors plus a scalar prefactor.
+
+    A factor is a UnitaryFactor or a Pauli label such as "-XZ"; ``terms`` keeps them as given.
+    Every label is parsed in one PauliStrings call, and ``factors`` holds the K*p factors in
+    flattened order m = (a-1)*p + j: the table itself when every factor is a label, else a tuple
+    of UnitaryFactor in which each label is the dense matrix of its table row.
+    """
 
     dim: int
     order_p: int
@@ -170,16 +153,24 @@ class TensorDecomposition:
             raise ValueError("need at least one term")
         if self.order_p < 1:
             raise ValueError("order p must be >= 1")
-        for term in terms:
-            if len(term) != self.order_p:
-                raise ValueError("every term must have exactly p factors")
-            for f in term:
-                if f.dim != self.dim:
-                    raise ValueError("all factors must share the decomposition dimension")
+        if any(len(term) != self.order_p for term in terms):
+            raise ValueError("every term must have exactly p factors")
+        flat = [f for term in terms for f in term]
+        # a label's width is checked before its 2^q tables are built
+        if any((2 ** len(f.removeprefix("-")) if isinstance(f, str) else f.dim) != self.dim for f in flat):
+            raise ValueError("all factors must share the decomposition dimension")
         if not math.isfinite(float(self.prefactor)):
             raise ValueError("prefactor must be finite")
+        labels = [f for f in flat if isinstance(f, str)]
+        table = PauliStrings(labels) if labels else None
+        if len(labels) == len(flat):
+            factors = table
+        else:  # each label becomes the dense matrix of its table row
+            dense = iter(factor_matrices(table, self.dim)) if labels else None
+            factors = tuple(UnitaryFactor(next(dense)) if isinstance(f, str) else f for f in flat)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "prefactor", float(self.prefactor))
+        object.__setattr__(self, "factors", factors)
 
     @property
     def num_terms(self) -> int:
@@ -189,10 +180,6 @@ class TensorDecomposition:
     def flat_count(self) -> int:
         """Total flattened factor count K*p."""
         return self.num_terms * self.order_p
-
-    def flattened_factors(self) -> list[UnitaryFactor | PauliString]:
-        """Factors in flattened order m = (a-1)*p + j."""
-        return [f for term in self.terms for f in term]
 
 
 @dataclass(frozen=True)
@@ -253,10 +240,10 @@ def expand_coefficients(decomp: TensorDecomposition) -> np.ndarray:
     if n ** (2 * p) > _EXPAND_GUARD:
         raise CapacityError(f"dense tensor would need {n**(2*p)} entries (guard {_EXPAND_GUARD})")
     out = np.zeros((n,) * (2 * p), dtype=complex)
-    for term in decomp.terms:
-        t = term[0].matrix
-        for f in term[1:]:
-            t = np.multiply.outer(t, f.matrix)
+    for term in factor_matrices(decomp.factors, n).reshape(decomp.num_terms, p, n, n):
+        t = term[0]
+        for m in term[1:]:
+            t = np.multiply.outer(t, m)
         # axes currently ordered (i1, j1, i2, j2, ...); regroup rows then columns
         perm = list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2))
         out += np.transpose(t, perm)
@@ -268,7 +255,7 @@ def expand_coefficients(decomp: TensorDecomposition) -> np.ndarray:
 
 def _factor_pass(decomp: TensorDecomposition, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One pass over the factors: the rows y_m = A_m x and the K x p quotients b_m = x . y_m."""
-    ys = np.array([f.apply(v) for f in decomp.flattened_factors()])
+    ys = apply_factors(decomp.factors, np.broadcast_to(v, (decomp.flat_count, decomp.dim)))
     b = np.empty(len(ys))
     # one dot per row: a stacked ys @ v rounds differently, and b sets the output bytes
     for m, y in enumerate(ys):
@@ -376,9 +363,9 @@ def pauli_decompose(matrix: np.ndarray) -> dict[str, float]:
     return dict(zip(labels, coeffs.real[kept].tolist()))
 
 
-def factor_to_dict(factor: UnitaryFactor | PauliString) -> dict:
-    if isinstance(factor, PauliString):
-        return {"pauli": factor.label}
+def factor_to_dict(factor: UnitaryFactor | str) -> dict:
+    if isinstance(factor, str):
+        return {"pauli": factor}
     flat = [[float(z.real), float(z.imag)] for z in factor.matrix.reshape(-1)]
     return {"dense": flat}
 
@@ -396,12 +383,12 @@ def _json_count(value, field: str) -> int:
     return int(value)
 
 
-def factor_from_dict(d: dict, dim: int) -> UnitaryFactor | PauliString:
+def factor_from_dict(d: dict, dim: int) -> UnitaryFactor | str:
     if isinstance(d, dict) and "pauli" in d:
         label = d["pauli"]
         if not isinstance(label, str) or 2 ** len(label.removeprefix("-")) != dim:  # before 2^len entries
             raise ValueError(f"Pauli factor {label!r} is not a string acting on dimension {dim}")
-        return PauliString(label)
+        return label
     if isinstance(d, dict) and "dense" in d:
         try:
             vals = np.array([complex(_json_number(re, "re"), _json_number(im, "im")) for re, im in d["dense"]])

@@ -223,6 +223,24 @@ def test_mds_json_matrix_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, entry, named", [
+    ("--delta", "1", "'--delta entry' must be a number, not '1'"),
+    ("--weights", True, "'--weights entry' must be a number, not True"),
+    ("--x0", {"a": 1}, "'--x0 entry' must be a number, not {'a': 1}"),
+    ("--x0", 10**400, "--x0 entry past the float range: int too large to convert to float"),
+], ids=["string", "boolean", "object", "huge-int"])
+def test_mds_json_matrix_takes_json_numbers_only(flag, entry, named, tmp_path, capsys):
+    matrices = {"--delta": distances(SQUARE), "--weights": 1.0 - np.eye(4), "--x0": SQUARE}
+    rows = matrices[flag].tolist()
+    rows[0][1] = entry
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(rows))
+    inputs = {"--delta": str(GOLDEN / "square.csv"), flag: str(path)}
+    assert main(["mds", "--seed", "1", *(token for pair in inputs.items() for token in pair)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {named}\n"
+
+
 def test_mds_zero_weights_leave_stress_constant(square_delta_file, tmp_path, capsys):
     w = tmp_path / "w.csv"
     w.write_text("\n".join(",".join("0.0" for _ in range(4)) for _ in range(4)) + "\n")

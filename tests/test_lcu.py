@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import aligned, random_decomposition, random_point, random_symmetric_unitary
+from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
 from qdescent import poly, sim
 from qdescent.errors import CapacityError, DegenerateStepError, PostselectionError
 from qdescent.lcu import (
@@ -16,7 +16,6 @@ from qdescent.lcu import (
     run_lcu_step,
 )
 from qdescent.poly import (
-    PauliString,
     PauliStrings,
     Point,
     TensorDecomposition,
@@ -32,15 +31,14 @@ SQ3 = math.sqrt(3.0)
 def benchmark():
     return TensorDecomposition(
         dim=2, order_p=2,
-        terms=[[PauliString("-I"), PauliString("X")],
-               [PauliString("X"), PauliString("Z")]],
+        terms=[["-I", "X"], ["X", "Z"]],
         prefactor=0.5,
     )
 
 
 def identity_problem():
     return TensorDecomposition(
-        dim=2, order_p=1, terms=[[PauliString("I")]], prefactor=1.0)
+        dim=2, order_p=1, terms=[["I"]], prefactor=1.0)
 
 
 def _pad(a, dim):
@@ -53,13 +51,19 @@ def _bits(m, width):
     return [(m >> (width - 1 - j)) & 1 for j in range(width)]
 
 
-def reference_lcu_step(factors, c, x_vec, eta):
-    """The LCU step wired gate by gate on the generic simulator.
+def dense_matrices(decomp):
+    """Each factor's matrix in flattened order, formed apart from the kernel: a label as its
+    Kronecker product."""
+    return [kron_pauli(f) if isinstance(f, str) else f.matrix for term in decomp.terms for f in term]
+
+
+def reference_lcu_step(matrices, c, x_vec, eta):
+    """The LCU step for dense factor matrices, wired gate by gate on the generic simulator.
 
     Returns (post-selected working vector, success probability).
     """
     n = x_vec.shape[0]
-    layout = RegisterLayout.for_problem(len(factors), n)
+    layout = RegisterLayout.for_problem(len(matrices), n)
     dim_work = 2**layout.n_work
     prep = build_prepare(c, eta)
     v = complete_from_first_column(prep.column)
@@ -72,8 +76,8 @@ def reference_lcu_step(factors, c, x_vec, eta):
     state = sim.apply_unitary(state, prep.v0, [0])
     if layout.t1 > 0:
         state = sim.apply_controlled(state, v, [0], [1], select)
-    for m, f in enumerate(factors):
-        u = prep.signs[m] * _pad(f.matrix, dim_work)
+    for m, f in enumerate(matrices):
+        u = prep.signs[m] * _pad(f, dim_work)
         state = sim.apply_controlled(state, u, [0] + select, [1] + _bits(m, layout.t1), work)
     if layout.t1 > 0:
         state = sim.apply_controlled(state, v.T, [0], [1], select)
@@ -97,18 +101,16 @@ def reference_estimate_b(decomp, x):
     work = list(range(layout.t1, q))
     for s in select:
         state = sim.apply_unitary(state, sim.HADAMARD, [s])
-    factors = decomp.flattened_factors()
-    for m, f in enumerate(factors):
-        state = sim.apply_controlled(state, _pad(f.matrix, dim_work), select, _bits(m, layout.t1), work)
+    for m, f in enumerate(dense_matrices(decomp)):
+        state = sim.apply_controlled(state, _pad(f, dim_work), select, _bits(m, layout.t1), work)
     out = [(xp.conj() @ sim.postselect(state, select, _bits(m, layout.t1))[0].amps).real
-           for m in range(len(factors))]
+           for m in range(decomp.flat_count)]
     return np.reshape(out, (decomp.num_terms, decomp.order_p))
 
 
 def pauli_decomposition(labels, p, prefactor):
-    strings = [PauliString(lbl) for lbl in labels]
-    return TensorDecomposition(dim=strings[0].dim, order_p=p, prefactor=prefactor,
-                               terms=[strings[a:a + p] for a in range(0, len(strings), p)])
+    return TensorDecomposition(dim=2 ** len(labels[0].removeprefix("-")), order_p=p, prefactor=prefactor,
+                               terms=[labels[a:a + p] for a in range(0, len(labels), p)])
 
 
 def reference_instances():
@@ -133,9 +135,9 @@ def reference_instances():
     ):
         d = pauli_decomposition(labels, p, prefactor)
         cases.append((d, random_point(rng, d.dim)))
-    mixed = [[PauliString("YY"), UnitaryFactor(random_symmetric_unitary(rng, 4))],
-             [UnitaryFactor(random_symmetric_unitary(rng, 4)), PauliString("-XZ")],
-             [PauliString("ZX"), PauliString("IZ")]]
+    mixed = [["YY", UnitaryFactor(random_symmetric_unitary(rng, 4))],
+             [UnitaryFactor(random_symmetric_unitary(rng, 4)), "-XZ"],
+             ["ZX", "IZ"]]
     cases.append((TensorDecomposition(dim=4, order_p=2, terms=mixed, prefactor=-1.1), random_point(rng, 4)))
     return cases
 
@@ -144,33 +146,29 @@ def test_reference_instances_cover_both_prepare_branches_and_factor_kinds():
     cases = reference_instances()
     t1s = {RegisterLayout.for_problem(d.flat_count, d.dim).t1 for d, _ in cases}
     assert min(t1s) <= 2 < max(t1s)
-    assert {type(f) for d, _ in cases for f in d.flattened_factors()} == {UnitaryFactor, PauliString}
-    # all-Pauli instances, which also run as a PauliStrings table, sit on both sides of t1 = 2
+    assert {type(f) for d, _ in cases for term in d.terms for f in term} == {UnitaryFactor, str}
+    # all-Pauli instances, which run as one PauliStrings table, sit on both sides of t1 = 2
     pauli_t1s = {RegisterLayout.for_problem(d.flat_count, d.dim).t1 for d, _ in cases
-                 if all(isinstance(f, PauliString) for f in d.flattened_factors())}
+                 if isinstance(d.factors, PauliStrings)}
     assert min(pauli_t1s) <= 2 < max(pauli_t1s)
+    # and one mixed instance runs its labels as dense factors
+    assert sum(any(isinstance(f, str) for term in d.terms for f in term) and isinstance(d.factors, tuple)
+               for d, _ in cases) == 1
     # run_lcu_step and estimate_b keep a real state for all-real factors and a complex one otherwise
-    state_dtypes = {np.result_type(*(f.dtype for f in d.flattened_factors())) for d, _ in cases}
-    assert state_dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
+    assert {poly.factors_dtype(d.factors) for d, _ in cases} == {np.dtype(np.float64), np.dtype(np.complex128)}
 
 
 @pytest.mark.parametrize("decomp, x", reference_instances())
 def test_kernel_matches_gate_level_reference(decomp, x):
     c = coefficients(decomp, x).c
-    factors = decomp.flattened_factors()
     try:
-        vec, prob = run_lcu_step(factors, c, x.coords, eta=0.7)
+        vec, prob = run_lcu_step(decomp.factors, c, x.coords, eta=0.7)
     except DegenerateStepError:
         pytest.skip("degenerate step")
-    ref_vec, ref_prob = reference_lcu_step(factors, c, x.coords, eta=0.7)
+    ref_vec, ref_prob = reference_lcu_step(dense_matrices(decomp), c, x.coords, eta=0.7)
     assert abs(prob - ref_prob) <= 1e-12
     assert np.max(np.abs(vec - ref_vec)) <= 1e-12
     assert np.max(np.abs(estimate_b(decomp, x) - reference_estimate_b(decomp, x))) <= 1e-12
-    if all(isinstance(f, PauliString) for f in factors):  # the one-gather select rounds as the list
-        table_vec, table_prob = run_lcu_step(PauliStrings([f.label for f in factors]), c, x.coords, eta=0.7)
-        assert abs(table_prob - ref_prob) <= 1e-12
-        assert np.max(np.abs(table_vec - ref_vec)) <= 1e-12
-        assert table_prob == prob and np.array_equal(table_vec, vec)
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
@@ -242,7 +240,7 @@ def test_prepare_state_amplitudes():
 
 
 def test_zero_weights_give_identity_step():
-    factors = [PauliString("I"), PauliString("X")]
+    factors = PauliStrings(["I", "X"])
     x = np.array([0.6, 0.8])
     vec, prob = run_lcu_step(factors, np.zeros(2), x, eta=1.0)
     prep = build_prepare(np.zeros(2), eta=1.0)

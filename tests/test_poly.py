@@ -1,5 +1,9 @@
+import gc
 import itertools
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +11,13 @@ import pytest
 from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
 from qdescent import poly
 from qdescent.errors import CapacityError, DegenerateStepError
+from qdescent.experiment import benchmark_decomposition
 from qdescent.poly import (
-    PauliString,
     PauliStrings,
     Point,
     TensorDecomposition,
     UnitaryFactor,
+    apply_factors,
     classical_gradient,
     classical_iterate,
     coefficients,
@@ -21,6 +26,7 @@ from qdescent.poly import (
     evaluate_objective,
     expand_coefficients,
     factor_from_dict,
+    factor_matrices,
     factor_to_dict,
     pauli_decompose,
 )
@@ -31,8 +37,7 @@ SQ3 = math.sqrt(3.0)
 def benchmark():
     return TensorDecomposition(
         dim=2, order_p=2,
-        terms=[[PauliString("-I"), PauliString("X")],
-               [PauliString("X"), PauliString("Z")]],
+        terms=[["-I", "X"], ["X", "Z"]],
         prefactor=0.5,
     )
 
@@ -59,8 +64,8 @@ def test_factor_dtype_is_real_exactly_when_every_entry_is_real():
     assert UnitaryFactor(np.diag([1.0, 1j])).dtype == np.complex128
     with pytest.raises(ValueError, match="not unitary"):
         UnitaryFactor(1.5 * real)
-    assert PauliString("YY").dtype == np.complex128  # real matrix, complex phases
-    assert PauliString("XZ").dtype == np.complex128
+    for label in ("YY", "XZ"):  # real matrix, complex phases
+        assert poly.factors_dtype(PauliStrings([label])) == np.complex128
 
 
 def test_factor_pass_rows_are_real_for_real_dense_factors():
@@ -92,11 +97,12 @@ def test_point_requires_unit_norm():
 
 
 def test_decomposition_shape_validation():
-    x = PauliString("X")
     with pytest.raises(ValueError):
-        TensorDecomposition(dim=2, order_p=2, terms=[[x]], prefactor=1.0)
-    with pytest.raises(ValueError):
-        TensorDecomposition(dim=4, order_p=1, terms=[[x]], prefactor=1.0)
+        TensorDecomposition(dim=2, order_p=2, terms=[["X"]], prefactor=1.0)
+    with pytest.raises(ValueError, match="share the decomposition dimension"):
+        TensorDecomposition(dim=4, order_p=1, terms=[["X"]], prefactor=1.0)
+    with pytest.raises(ValueError, match="share the decomposition dimension"):
+        TensorDecomposition(dim=4, order_p=1, terms=[["XZ"], [UnitaryFactor(np.eye(2))]], prefactor=1.0)
 
 
 def test_expand_identity_single_factor():
@@ -156,7 +162,7 @@ def test_coefficients_at_optimum():
 
 
 def test_coefficients_single_factor_empty_product():
-    d = TensorDecomposition(dim=2, order_p=1, terms=[[PauliString("Z")]], prefactor=0.7)
+    d = TensorDecomposition(dim=2, order_p=1, terms=[["Z"]], prefactor=0.7)
     cs = coefficients(d, Point(np.array([1.0, 0.0])))
     assert np.allclose(cs.c, [0.7])
     assert np.isclose(cs.total_weight, 1.7)
@@ -268,15 +274,14 @@ def test_json_round_trip_paulis_and_dense():
     dense = UnitaryFactor(random_symmetric_unitary(rng, 2))
     d = TensorDecomposition(
         dim=2, order_p=2,
-        terms=[[PauliString("-I"), dense],
-               [PauliString("X"), PauliString("Z")]],
+        terms=[["-I", dense], ["X", "Z"]],
         prefactor=0.5,
     )
+    assert decomposition_to_dict(d)["terms"][1] == [{"pauli": "X"}, {"pauli": "Z"}]
     back = decomposition_from_dict(decomposition_to_dict(d))
     assert back.dim == d.dim and back.order_p == d.order_p and back.prefactor == d.prefactor
-    for t1, t2 in zip(back.terms, d.terms):
-        for f1, f2 in zip(t1, t2):
-            assert np.allclose(f1.matrix, f2.matrix, atol=1e-15)
+    assert back.terms[1] == ("X", "Z") and back.terms[0][0] == "-I"
+    assert np.allclose(factor_matrices(back.factors, 2), factor_matrices(d.factors, 2), rtol=0, atol=1e-15)
 
 
 def test_json_malformed_inputs():
@@ -293,7 +298,7 @@ def test_pauli_decompose_round_trip():
     m = random_symmetric_unitary(rng, 4) + random_symmetric_unitary(rng, 4)
     m = (m + m.T) / 2
     comps = pauli_decompose(m)
-    rebuilt = sum(w * PauliString(lbl).matrix for lbl, w in comps.items())
+    rebuilt = np.tensordot(list(comps.values()), factor_matrices(PauliStrings(list(comps)), 4), axes=1)
     assert np.allclose(rebuilt.real, m, atol=1e-10)
 
 
@@ -303,17 +308,42 @@ def test_pauli_string_matrix_equals_kron_product():
     v = np.random.default_rng(5).standard_normal(16) + 1j * np.random.default_rng(6).standard_normal(16)
     for label in labels + ["-" + lbl for lbl in labels]:
         ref = kron_pauli(label)
-        string = PauliString(label)
+        string = PauliStrings([label])
         cols = np.argmax(ref != 0, axis=1)
-        assert np.array_equal(string.cols, cols), label
-        assert np.array_equal(string.phase, ref[np.arange(len(ref)), cols]), label
-        assert np.array_equal(string.matrix, ref), label
-        assert np.allclose(string.apply(v[: len(ref)]), ref @ v[: len(ref)], rtol=0, atol=1e-15), label
+        assert np.array_equal(string.cols, [cols]), label
+        assert np.array_equal(string.phase, [ref[np.arange(len(ref)), cols]]), label
+        assert np.array_equal(factor_matrices(string, len(ref)), [ref]), label
+        applied = apply_factors(string, v[None, : len(ref)])
+        assert np.allclose(applied, [ref @ v[: len(ref)]], rtol=0, atol=1e-15), label
     for bad in ("XA", "", "-", "--X", ["X"], None):
         with pytest.raises(ValueError, match="unknown Pauli string"):
-            PauliString(bad)
+            PauliStrings([bad])
         with pytest.raises(ValueError, match="unknown Pauli string"):
             PauliStrings(["XZ", bad])
+
+
+@pytest.mark.parametrize("bad", ["XA", "--X", "X-", "xz", "-YQ"])
+def test_unknown_pauli_label_is_refused_by_the_decomposition(bad):
+    with pytest.raises(ValueError, match="unknown Pauli string"):
+        TensorDecomposition(dim=4, order_p=2, terms=[["XZ", bad]])
+    with pytest.raises(ValueError, match="unknown Pauli string"):
+        TensorDecomposition(dim=4, order_p=2, terms=[[UnitaryFactor(np.eye(4)), bad]])
+    with pytest.raises(ValueError, match="unknown Pauli string"):
+        decomposition_from_dict({"dim": 4, "p": 2, "terms": [[{"pauli": "XZ"}, {"pauli": bad}]]})
+
+
+def test_pauli_label_of_the_wrong_width_is_refused_before_its_tables_are_built():
+    with pytest.raises(ValueError, match="share the decomposition dimension"):
+        TensorDecomposition(dim=4, order_p=1, terms=[["XZ"], ["X"]])
+    with pytest.raises(ValueError, match="Pauli factor 'X' is not a string acting on dimension 4"):
+        decomposition_from_dict({"dim": 4, "p": 1, "terms": [[{"pauli": "XZ"}], [{"pauli": "X"}]]})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="share the decomposition dimension"):
+            TensorDecomposition(dim=2, order_p=1, terms=[["X"], ["Z" * 20]])
+        assert tracemalloc.get_traced_memory()[1] < 2**20  # a 20-qubit table is 24 MiB
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("labels", [[], ["X", "XZ"], ["-XZ", "Z"]])
@@ -325,18 +355,19 @@ def test_pauli_table_needs_strings_on_one_width(labels):
 def test_pauli_string_past_the_qubit_cap_is_refused_before_allocating():
     for label in ("I" * 21, "-" + "X" * 21, "Z" * 30):
         with pytest.raises(CapacityError, match=f"needs {len(label.lstrip('-'))} qubits"):
-            PauliString(label)
+            PauliStrings([label])
         with pytest.raises(CapacityError):
             PauliStrings([label, label])
+        with pytest.raises(CapacityError):
+            TensorDecomposition(dim=2 ** len(label.lstrip("-")), order_p=1, terms=[[label]])
     with pytest.raises(CapacityError):
         decomposition_from_dict({"dim": 2**21, "p": 1, "terms": [[{"pauli": "X" * 21}]]})
 
 
 @pytest.mark.parametrize("prefactor", [math.nan, math.inf, -math.inf, "nan", 1e309])
 def test_decomposition_rejects_non_finite_prefactor(prefactor):
-    x = PauliString("X")
     with pytest.raises(ValueError, match="prefactor must be finite"):
-        TensorDecomposition(dim=2, order_p=1, terms=[[x]], prefactor=prefactor)
+        TensorDecomposition(dim=2, order_p=1, terms=[["X"]], prefactor=prefactor)
     with pytest.raises(ValueError, match="prefactor must be finite"):
         decomposition_from_dict({"dim": 2, "p": 1, "prefactor": float(prefactor), "terms": [[{"pauli": "X"}]]})
 
@@ -355,7 +386,7 @@ def test_json_rejects_pauli_label_that_is_not_a_string_of_the_right_width(label)
 def test_json_round_trip_multi_qubit_paulis():
     d = decomposition_from_dict({"dim": 8, "p": 2, "prefactor": -0.25,
                                  "terms": [[{"pauli": "XYY"}, {"pauli": "-ZIX"}]]})
-    assert [f.label for f in d.flattened_factors()] == ["XYY", "-ZIX"]
+    assert d.terms == (("XYY", "-ZIX"),) and d.factors.labels == ("XYY", "-ZIX")
     assert decomposition_from_dict(decomposition_to_dict(d)) == d
 
 
@@ -399,3 +430,46 @@ def test_point_rejects_non_finite_coordinates(make):
 def test_classical_iterate_rejects_non_finite_eta(eta):
     with pytest.raises(ValueError, match="finite"):
         classical_iterate(benchmark(), Point.normalized([1.0, 1.0]), eta)
+
+
+def test_a_decomposition_parses_its_labels_once(monkeypatch):
+    parses = []
+    parse = poly._pauli_tables
+    monkeypatch.setattr(poly, "_pauli_tables", lambda labels: parses.append(labels) or parse(labels))
+    assert isinstance(benchmark_decomposition().factors, PauliStrings)
+    assert parses == [("-I", "X", "X", "Z")]
+    problem = json.loads((Path(__file__).parent / "data" / "golden" / "problem.json").read_text())
+    assert isinstance(decomposition_from_dict(problem).factors, PauliStrings)
+    assert len(parses) == 2
+
+
+def test_mixed_decomposition_holds_each_label_as_the_dense_matrix_of_its_row():
+    dense = UnitaryFactor(random_symmetric_unitary(np.random.default_rng(18), 4))
+    d = TensorDecomposition(dim=4, order_p=2, terms=[["YY", dense], ["-XZ", "ZX"]], prefactor=-0.5)
+    assert d.terms == (("YY", dense), ("-XZ", "ZX"))  # kept as given, so the JSON keeps the labels
+    assert decomposition_to_dict(d)["terms"][1] == [{"pauli": "-XZ"}, {"pauli": "ZX"}]
+    assert all(isinstance(f, UnitaryFactor) for f in d.factors) and d.factors[1] is dense
+    for m, label in ((0, "YY"), (2, "-XZ"), (3, "ZX")):
+        assert np.array_equal(d.factors[m].matrix, kron_pauli(label).real), label
+        assert d.factors[m].dtype == np.float64
+    x = random_point(np.random.default_rng(19), 4)
+    def quad(f):
+        return x.coords @ (kron_pauli(f).real if isinstance(f, str) else f.matrix) @ x.coords
+
+    expected = d.prefactor * sum(quad(f1) * quad(f2) for f1, f2 in d.terms)
+    assert abs(evaluate_objective(d, x) - expected) <= 1e-12
+
+
+def test_a_dropped_table_leaves_no_numpy_memory_behind():
+    tracemalloc.start()
+    try:
+        PauliStrings(["X"])
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        table = PauliStrings(["I" * 16])
+        assert tracemalloc.get_traced_memory()[0] - base >= table.cols.nbytes + table.phase.nbytes
+        del table
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - base < 2**16  # less than one 16-qubit row
+    finally:
+        tracemalloc.stop()
