@@ -88,13 +88,20 @@ def _write_outputs(out_base: str | None, fmt: str, csv_text: str, summary: dict)
     print(f"wrote {out_base}.csv and {out_base}.json" if fmt == "csv" else f"wrote {out_base}.json")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds take non-negative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def _add_run_flags(p: argparse.ArgumentParser, eta: float, threshold: float, iters: int) -> None:
     p.add_argument("--eta", type=float, default=eta, help=f"step size (default {eta})")
     p.add_argument("--threshold", type=float, default=threshold,
                    help=f"stop when the step norm falls below this (default {threshold})")
     p.add_argument("--max-iters", type=int, default=iters, help=f"iteration budget (default {iters})")
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--noise", type=float, default=0.0, metavar="EPS",
                    help="depolarizing strength applied each iteration (purified back)")
     p.add_argument("--out", default=None, metavar="BASE", help="write BASE.csv / BASE.json")
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mds.add_argument("--eta", type=float, default=0.05)
     p_mds.add_argument("--max-iters", type=int, default=200)
     p_mds.add_argument("--tol", type=float, default=1e-9)
-    p_mds.add_argument("--seed", type=int, default=None)
+    p_mds.add_argument("--seed", type=_seed, default=None)
     p_mds.add_argument("--out", default=None, metavar="BASE")
     p_mds.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--x0", required=True)
     p_est.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p_est.add_argument("--shots", type=int, default=100000)
-    p_est.add_argument("--seed", type=int, default=None)
+    p_est.add_argument("--seed", type=_seed, default=None)
 
     return parser
 

@@ -5,6 +5,9 @@ Registers are laid out flag (1 qubit), select (t1 qubits), working
 select-controlled factor application, un-prepare, and post-selection of the
 all-zero ancillas; the surviving working state is (x - eta*D*x) normalized,
 which the classical oracle in :mod:`qdescent.poly` reproduces exactly.
+Prepare touches only the flag and select registers, so controlled-A_m acts
+on x itself: the step takes the images A_m x that the coefficient pass at x
+has formed, and a descent step applies each factor once.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import poly, sim
 from .errors import CapacityError, DegenerateStepError, PostselectionError
-from .poly import CoefficientSet, Factors, Point, TensorDecomposition
+from .poly import CoefficientSet, Point, TensorDecomposition
 
 
 @dataclass(frozen=True)
@@ -119,42 +122,36 @@ def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
     return PrepareSpec(beta=beta, v0=v0, column=column, signs=signs)
 
 
-def _on_select(block: np.ndarray, column: np.ndarray, v: np.ndarray | None,
-               transpose: bool = False) -> np.ndarray:
-    """Prepare (or un-prepare) the select axis of the flag=1 block with a dense V, or else with
-    the unformed reflection H of _reflector (its own transpose) as one rank-one update in
-    O(2^t1 * 2^n_work); H's first column is -u, a sign that prepare and un-prepare cancel."""
-    if v is not None:
-        return (v.T if transpose else v) @ block
-    w = _reflector(column)[1]
-    return block - (2.0 / (w @ w)) * np.outer(w, w @ block)
+def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
+    """Execute one circuit step from the (K, N) factor images A_m x and the weights c.
 
-
-def run_lcu_step(factors: Factors, c: np.ndarray, x_vec: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
-    """Execute one circuit step for explicit factors and weights.
-
-    The state is held as a (flag, select, work) array of shape (2, 2^t1, 2^n_work), real when
-    every factor is real: v0 acts on the flag axis of select row 0, V on the flag=1 slice,
-    and factor m on select row m of that slice (poly.apply_factors); no gate is checked here.
+    The state is a (flag, select, work) array of shape (2, 2^t1, 2^n_work), of the images'
+    dtype.  Prepare leaves the flag=1 slice in the product state (V e0) (x) v0[1,0] x, so
+    select turns its row m into sign_m V[m,0] v0[1,0] A_m x, formed from the images in that
+    order; no factor is applied and no gate checked here.  Un-prepare forms only row 0, which
+    post-selection reads: with the dense V^T up to t1 = 2, whose rounding 3 golden outputs pin,
+    and else as u = V e0 times the slice (V is then the reflection H of _reflector, whose first
+    column is -u, a sign that prepare and un-prepare cancel).
 
     Returns (post-selected working vector of len(x_vec), success probability).
     The weights c may come from a CoefficientSet or any other real linear
     combination of the factors.
     """
     x_vec = np.asarray(x_vec, dtype=float)
-    n = x_vec.shape[0]
-    layout = RegisterLayout.for_problem(len(factors), n)
+    n, k = x_vec.shape[0], len(images)
+    layout = RegisterLayout.for_problem(k, n)
     prep = build_prepare(c, eta)
 
-    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=poly.factors_dtype(factors))
-    state[0, 0, :n] = x_vec
-    # t1 <= 2, as in every golden run, keeps dense V: the rank-one form moves the last digits of 4 golden outputs
-    v = complete_from_first_column(prep.column) if layout.t1 <= 2 else None
-    state[:, 0] = prep.v0 @ state[:, 0]  # before prepare only select row 0 holds amplitude
-    state[1] = _on_select(state[1], prep.column, v)
-    k = len(factors)
-    state[1, :k, :n] = prep.signs[:, None] * poly.apply_factors(factors, state[1, :k, :n])
-    state[1] = _on_select(state[1], prep.column, v, transpose=True)
+    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=images.dtype)
+    state[0, 0, :n] = prep.v0[0, 0] * x_vec  # v0's flag=1 amplitude is scaled into the images
+    u = _reflector(prep.column)[0]
+    select = state[1, :k, :n]
+    np.multiply(prep.v0[1, 0], images, out=select)
+    select *= (prep.signs * u[:k])[:, None]
+    if layout.t1 <= 2:
+        state[1, 0] = (complete_from_first_column(prep.column).T @ state[1])[0]
+    else:
+        state[1, 0] = u[:k] @ state[1, :k]
 
     kept = (prep.v0.T @ state[:, 0])[0]  # after un-prepare only the kept row is read
     prob = float(np.sum(np.abs(kept) ** 2))
@@ -171,11 +168,13 @@ def run_lcu_step(factors: Factors, c: np.ndarray, x_vec: np.ndarray, eta: float)
     return vec, prob
 
 
-def _check_mode(mode: str, shots: int | None) -> None:
+def _check_mode(mode: str, shots: int | None, seed: int | None) -> None:
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and (shots is None or shots < 1):
         raise ValueError("sampled mode needs shots >= 1")
+    if seed is not None and seed < 0:  # optimize seeds step t with seed + t
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
@@ -187,14 +186,14 @@ def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
     post-selection successes among ``shots`` Bernoulli repetitions and fails
     when none occur; the collapsed state itself is exact either way.
     """
-    _check_mode(mode, shots)
+    _check_mode(mode, shots, seed)
     return _step(decomp, x, poly.coefficients(decomp, x), eta, mode, shots, seed)
 
 
 def _step(decomp: TensorDecomposition, x: Point, coeffs: CoefficientSet, eta: float,
           mode: str, shots: int | None, seed: int | None) -> IterationOutcome:
     """run_iteration from the coefficients already formed at x."""
-    vec, prob = run_lcu_step(decomp.factors, coeffs.c, x.coords, eta)
+    vec, prob = run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
     if mode == "sampled" and np.random.default_rng(seed).binomial(shots, prob) == 0:
         raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
     return IterationOutcome(next_point=Point(vec), success_prob=prob, expected_bernoulli_reps=1.0 / prob,
@@ -213,7 +212,7 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
     count and takes each sign from the exact overlap, which the
     magnitude-only projector cannot provide.
     """
-    _check_mode(mode, shots)
+    _check_mode(mode, shots, seed)
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
     start = x.coords
     for _ in range(layout.t1):
@@ -222,10 +221,10 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
     rng = np.random.default_rng(seed) if mode == "sampled" else None
     out = np.empty(decomp.flat_count)
     branches = poly.apply_factors(decomp.factors, np.broadcast_to(start, (decomp.flat_count, decomp.dim)))
+    norms = np.sqrt(np.sum(np.abs(branches) ** 2, axis=1))  # rounds each row as a sum of that row alone
     for m, branch in enumerate(branches):
         # post-selecting select outcome m renormalizes its branch
-        branch = branch / np.sqrt(float(np.sum(np.abs(branch) ** 2)))
-        overlap = complex(x.coords @ branch)
+        overlap = complex(x.coords @ (branch / norms[m]))
         if abs(overlap.imag) > 1e-10:
             raise ValueError("expectation has a non-negligible imaginary part")
         exact = overlap.real
@@ -255,10 +254,11 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
         raise ValueError("threshold must be positive and finite")
     if not 0 <= noise_eps <= 1:  # NaN fails too
         raise ValueError("noise strength must lie in [0, 1]")
-    _check_mode(mode, shots)
+    _check_mode(mode, shots, seed)
     records: list[IterationRecord] = []
     x = x0
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
+    pad = 2**layout.n_work - decomp.dim
     coeffs = poly.coefficients(decomp, x)
     for t in range(1, max_iters + 1):
         step_seed = None if seed is None else seed + t
@@ -266,7 +266,7 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
         y = outcome.next_point.coords
         fid = None
         if noise_eps > 0:  # the density matrix, and so the purified point, is the same for +-y
-            pure = sim.QState(layout.n_work, np.pad(y, (0, 2**layout.n_work - decomp.dim)))
+            pure = sim.QState(layout.n_work, np.pad(y, (0, pad)) if pad else y)
             rho = sim.to_density(pure)
             noisy = sim.depolarize(rho, noise_eps)
             fid = sim.fidelity(rho, noisy)

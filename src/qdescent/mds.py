@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcu
-from .poly import PauliStrings, pauli_decompose
+from .poly import PauliStrings, apply_factors, pauli_decompose
 
 _DEMO_ETA = 0.05  # the column demo's step
 
@@ -269,7 +269,8 @@ def lcu_column_demo(delta, w, x, column: int = 0) -> ColumnDemoResult:
     if norm < 1e-12:
         raise ValueError("selected column has zero norm")
     unit = col / norm
-    vec, prob = lcu.run_lcu_step(PauliStrings(labels), weights, unit, _DEMO_ETA)
+    images = apply_factors(PauliStrings(labels), np.broadcast_to(unit, (len(labels), n)))
+    vec, prob = lcu.run_lcu_step(images, weights, unit, _DEMO_ETA)
     classical = unit - _DEMO_ETA * dmat @ unit
     classical = classical / np.linalg.norm(classical)
     return ColumnDemoResult(labels=labels, weights=weights, quantum_point=vec, classical_point=classical,

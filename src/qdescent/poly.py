@@ -54,10 +54,6 @@ class UnitaryFactor:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.matrix.dtype
-
 
 def _pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
     """The (K, 2^q) column and phase tables of K Pauli labels on the same q qubits, parsed at
@@ -118,13 +114,6 @@ def apply_factors(factors: Factors, rows: np.ndarray) -> np.ndarray:
     if isinstance(factors, PauliStrings):
         return factors.phase * rows[np.arange(len(factors))[:, None], factors.cols]
     return np.array([f.matrix @ row for f, row in zip(factors, rows)])
-
-
-def factors_dtype(factors: Factors) -> np.dtype:
-    """The dtype of apply_factors on real rows: complex for a table, whose phases are complex."""
-    if isinstance(factors, PauliStrings):
-        return factors.phase.dtype
-    return np.result_type(*(f.dtype for f in factors))
 
 
 def factor_matrices(factors: Factors, n: int) -> np.ndarray:
@@ -212,7 +201,8 @@ class Point:
 @dataclass(frozen=True)
 class CoefficientSet:
     """Rayleigh quotients b, per-term products M, flattened weights c, the
-    normalizer beta = 1 + sum |c_m|, the descent direction D x, and f(x) from the same b."""
+    normalizer beta = 1 + sum |c_m|, the descent direction D x, and f(x) from the same b,
+    all formed from the factor images A_m x, which the circuit step takes as they are."""
 
     b: np.ndarray       # K x p
     big_m: np.ndarray   # K
@@ -220,6 +210,7 @@ class CoefficientSet:
     total_weight: float
     direction: np.ndarray  # N, sum_m c_m A_m x (real when every factor is real)
     f_value: float
+    images: np.ndarray  # K*p x N, row m = A_m x (complex for a Pauli table, whose phases are)
 
 
 def _check_dim(decomp: TensorDecomposition, x) -> np.ndarray:
@@ -306,7 +297,7 @@ def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
                     prod *= b[a, i]
             c[a * p + j] = prod
     return CoefficientSet(b=b, big_m=big_m, c=c, total_weight=1.0 + float(np.sum(np.abs(c))),
-                          direction=c @ ys, f_value=_objective_from_b(decomp, b))
+                          direction=c @ ys, f_value=_objective_from_b(decomp, b), images=ys)
 
 
 def classical_gradient(decomp: TensorDecomposition, x) -> np.ndarray:

@@ -401,6 +401,22 @@ def test_out_of_range_input_exits_1(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["repro", "--mode", "sampled", "--seed", "-1"],
+    ["repro", "--seed", "-1"],
+    ["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--mode", "sampled", "--seed", "-2"],
+    ["estimate-coeffs", "--problem", "{problem}", "--x0", "0.6,0.8", "--mode", "sampled", "--seed", "-1"],
+    ["mds", "--delta", "{square}", "--seed", "-1"],
+], ids=["repro-sampled", "repro-exact", "optimize", "estimate-coeffs", "mds"])
+def test_negative_seed_exits_1_naming_the_flag(argv, capsys):
+    # step t takes seed + t, so the flag refuses a negative seed in every mode
+    inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
+    assert main([inputs.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --seed: must be a non-negative integer, not '-" in captured.err
+
+
 @pytest.mark.parametrize("label", ['["X"]', "3", '"XZ"'])
 def test_bad_pauli_label_exits_1(label, tmp_path, capsys):
     problem = tmp_path / "bad_label.json"

@@ -154,20 +154,25 @@ def test_reference_instances_cover_both_prepare_branches_and_factor_kinds():
     # and one mixed instance runs its labels as dense factors
     assert sum(any(isinstance(f, str) for term in d.terms for f in term) and isinstance(d.factors, tuple)
                for d, _ in cases) == 1
-    # run_lcu_step and estimate_b keep a real state for all-real factors and a complex one otherwise
-    assert {poly.factors_dtype(d.factors) for d, _ in cases} == {np.dtype(np.float64), np.dtype(np.complex128)}
+    # the images, and so the circuit state, are real for all-real factors and complex otherwise
+    assert {coefficients(d, x).images.dtype for d, x in cases} == {np.dtype(np.float64), np.dtype(np.complex128)}
 
 
 @pytest.mark.parametrize("decomp, x", reference_instances())
 def test_kernel_matches_gate_level_reference(decomp, x):
     c = coefficients(decomp, x).c
+    images = poly.apply_factors(decomp.factors, np.broadcast_to(x.coords, (decomp.flat_count, decomp.dim)))
     try:
-        vec, prob = run_lcu_step(decomp.factors, c, x.coords, eta=0.7)
+        vec, prob = run_lcu_step(images, c, x.coords, eta=0.7)
     except DegenerateStepError:
         pytest.skip("degenerate step")
     ref_vec, ref_prob = reference_lcu_step(dense_matrices(decomp), c, x.coords, eta=0.7)
     assert abs(prob - ref_prob) <= 1e-12
     assert np.max(np.abs(vec - ref_vec)) <= 1e-12
+    # the optimizer's path, on the images that coefficients formed at x
+    out = run_iteration(decomp, x, eta=0.7)
+    assert abs(out.success_prob - ref_prob) <= 1e-12
+    assert np.max(np.abs(out.next_point.coords - ref_vec)) <= 1e-12
     assert np.max(np.abs(estimate_b(decomp, x) - reference_estimate_b(decomp, x))) <= 1e-12
 
 
@@ -240,9 +245,9 @@ def test_prepare_state_amplitudes():
 
 
 def test_zero_weights_give_identity_step():
-    factors = PauliStrings(["I", "X"])
     x = np.array([0.6, 0.8])
-    vec, prob = run_lcu_step(factors, np.zeros(2), x, eta=1.0)
+    images = poly.apply_factors(PauliStrings(["I", "X"]), np.broadcast_to(x, (2, 2)))
+    vec, prob = run_lcu_step(images, np.zeros(2), x, eta=1.0)
     prep = build_prepare(np.zeros(2), eta=1.0)
     assert np.isclose(prep.beta, 1.0)
     assert np.allclose(complete_from_first_column(prep.column), np.eye(2))
@@ -339,6 +344,16 @@ def test_sampled_iteration_state_is_exact():
         run_iteration(d, x, eta=1.0, mode="nope")
 
 
+@pytest.mark.parametrize("run", [
+    lambda x: run_iteration(benchmark(), x, mode="sampled", shots=64, seed=-1),
+    lambda x: estimate_b(benchmark(), x, mode="sampled", shots=64, seed=-1),
+    lambda x: optimize(benchmark(), x, seed=-2),
+], ids=["run_iteration", "estimate_b", "optimize"])
+def test_negative_seed_is_refused(run):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -"):
+        run(Point.normalized([1.0, 1.0]))
+
+
 def test_estimate_b_benchmark_exact():
     b = estimate_b(benchmark(), Point.normalized([1.0, 1.0]))
     assert b.shape == (2, 2)
@@ -412,14 +427,17 @@ def test_optimize_frozen_half_step_trajectory():
 
 
 def test_optimize_makes_one_factor_pass_per_point(monkeypatch):
-    passes = []
-    factor_pass = poly._factor_pass
+    passes, applied = [], []
+    factor_pass, apply_factors = poly._factor_pass, poly.apply_factors
     monkeypatch.setattr(poly, "_factor_pass", lambda d, v: passes.append(v.copy()) or factor_pass(d, v))
+    monkeypatch.setattr(poly, "apply_factors", lambda f, rows: applied.append(len(rows)) or apply_factors(f, rows))
     records = optimize(benchmark(), Point.normalized([0.86, 0.5]), eta=0.5, max_iters=8)
     # the start, then every accepted point once: its record's f and the next step's weights
     points = [Point.normalized([0.86, 0.5])] + [r.point for r in records]
     assert len(records) > 2
     assert [list(v) for v in passes] == [list(p.coords) for p in points]
+    # and the circuit step takes that pass's images, applying no factor itself
+    assert applied == [4] * len(points)
     monkeypatch.undo()
     assert [r.f_value for r in records] == [evaluate_objective(benchmark(), r.point) for r in records]
 

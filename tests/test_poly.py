@@ -58,14 +58,14 @@ def test_factor_dtype_is_real_exactly_when_every_entry_is_real():
     real = random_symmetric_unitary(np.random.default_rng(15), 4)
     for matrix in (real, real.astype(complex)):
         f = UnitaryFactor(matrix)
-        assert f.dtype == np.float64 and f.matrix.flags.c_contiguous
+        assert f.matrix.dtype == np.float64 and f.matrix.flags.c_contiguous
         assert np.array_equal(f.matrix, real)
-    assert UnitaryFactor(1j * real).dtype == np.complex128
-    assert UnitaryFactor(np.diag([1.0, 1j])).dtype == np.complex128
+    assert UnitaryFactor(1j * real).matrix.dtype == np.complex128
+    assert UnitaryFactor(np.diag([1.0, 1j])).matrix.dtype == np.complex128
     with pytest.raises(ValueError, match="not unitary"):
         UnitaryFactor(1.5 * real)
     for label in ("YY", "XZ"):  # real matrix, complex phases
-        assert poly.factors_dtype(PauliStrings([label])) == np.complex128
+        assert apply_factors(PauliStrings([label]), np.ones((1, 4))).dtype == np.complex128
 
 
 def test_factor_pass_rows_are_real_for_real_dense_factors():
@@ -84,7 +84,7 @@ def test_real_dense_factor_round_trips_as_float64():
     f = UnitaryFactor(random_symmetric_unitary(np.random.default_rng(17), 4))
     d = factor_to_dict(f)
     back = factor_from_dict(d, 4)
-    assert back.dtype == np.float64
+    assert back.matrix.dtype == np.float64
     assert np.array_equal(back.matrix, f.matrix)
     assert factor_to_dict(back) == d
 
@@ -451,7 +451,7 @@ def test_mixed_decomposition_holds_each_label_as_the_dense_matrix_of_its_row():
     assert all(isinstance(f, UnitaryFactor) for f in d.factors) and d.factors[1] is dense
     for m, label in ((0, "YY"), (2, "-XZ"), (3, "ZX")):
         assert np.array_equal(d.factors[m].matrix, kron_pauli(label).real), label
-        assert d.factors[m].dtype == np.float64
+        assert d.factors[m].matrix.dtype == np.float64
     x = random_point(np.random.default_rng(19), 4)
     def quad(f):
         return x.coords @ (kron_pauli(f).real if isinstance(f, str) else f.matrix) @ x.coords
