@@ -95,6 +95,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """A --dim value: an embedding has one or more columns."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def _add_run_flags(p: argparse.ArgumentParser, eta: float, threshold: float, iters: int) -> None:
     p.add_argument("--eta", type=float, default=eta, help=f"step size (default {eta})")
     p.add_argument("--threshold", type=float, default=threshold,
@@ -179,6 +186,8 @@ def cmd_mds(args) -> int:
     csv_text = "iter,stress\n" + "\n".join(
         f"{i},{_fmt(s)}" for i, (_, s) in enumerate(trace)) + "\n"
     final_x, final_s = trace[-1]
+    if not np.isfinite(final_s):
+        raise ValueError(f"stress is not finite after iteration {len(trace) - 1} (lower --eta)")
     # an oversized step also stops the descent, by raising stress: only a
     # last step that changed stress by less than tol either way converged
     converged = len(trace) > 1 and abs(trace[-2][1] - final_s) < args.tol
@@ -243,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mds.add_argument("--delta", required=True, help="dissimilarity matrix (CSV or JSON)")
     p_mds.add_argument("--weights", default=None, help="weight matrix (CSV or JSON; default uniform)")
     p_mds.add_argument("--x0", default=None, help="initial configuration (CSV or JSON; default random)")
-    p_mds.add_argument("--dim", type=int, default=2, help="embedding dimension for random init")
+    p_mds.add_argument("--dim", type=_positive, default=2, help="embedding dimension for random init")
     p_mds.add_argument("--eta", type=float, default=0.05)
     p_mds.add_argument("--max-iters", type=int, default=200)
     p_mds.add_argument("--tol", type=float, default=1e-9)

@@ -7,7 +7,8 @@ all-zero ancillas; the surviving working state is (x - eta*D*x) normalized,
 which the classical oracle in :mod:`qdescent.poly` reproduces exactly.
 Prepare touches only the flag and select registers, so controlled-A_m acts
 on x itself: the step takes the images A_m x that the coefficient pass at x
-has formed, and a descent step applies each factor once.
+has formed, and a descent step applies each factor once.  estimate_b at x
+reads the same pass, which the decomposition keeps (see poly._factor_pass).
 """
 
 from __future__ import annotations
@@ -206,28 +207,26 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
 
     Hadamards put the select register in uniform superposition, each branch
     applies its factor to |x>, and the working register is read against the
-    |x><x| projector per select outcome.  Every branch starts as |x> scaled
-    by one Hadamard entry per select qubit, so branch m is that vector with
-    A_m applied.  Sampled mode draws projector frequencies at the given shot
-    count and takes each sign from the exact overlap, which the
-    magnitude-only projector cannot provide.
+    |x><x| projector per select outcome.  Branch m is A_m x scaled by one
+    Hadamard entry per select qubit, in sequence; the images A_m x are the
+    factor pass at x, which the decomposition keeps, so a descent step from
+    the same point applies no factor again.  Sampled mode draws projector
+    frequencies at the given shot count and takes each sign from the exact
+    overlap, which the magnitude-only projector cannot provide.
     """
     _check_mode(mode, shots, seed)
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
-    start = x.coords
+    _, branches = poly._factor_pass(decomp, poly._check_dim(decomp, x))
     for _ in range(layout.t1):
-        start = sim.HADAMARD[0, 0].real * start
+        branches = sim.HADAMARD[0, 0].real * branches
 
     rng = np.random.default_rng(seed) if mode == "sampled" else None
     out = np.empty(decomp.flat_count)
-    branches = poly.apply_factors(decomp.factors, np.broadcast_to(start, (decomp.flat_count, decomp.dim)))
     norms = np.sqrt(np.sum(np.abs(branches) ** 2, axis=1))  # rounds each row as a sum of that row alone
     for m, branch in enumerate(branches):
-        # post-selecting select outcome m renormalizes its branch
-        overlap = complex(x.coords @ (branch / norms[m]))
-        if abs(overlap.imag) > 1e-10:
-            raise ValueError("expectation has a non-negligible imaginary part")
-        exact = overlap.real
+        # post-selecting select outcome m renormalizes its branch; the factor pass has checked
+        # that b_m, and so this overlap, has no imaginary part above 1e-12
+        exact = complex(x.coords @ (branch / norms[m])).real
         if mode == "exact":
             out[m] = exact
         else:

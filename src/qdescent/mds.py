@@ -186,7 +186,8 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
 
     Stops when the per-step stress improvement drops below tol (a stress
     increase, possible with an oversized step, therefore also stops the loop
-    and stays visible in the returned trace) or when max_iters is exhausted.
+    and stays visible in the returned trace, as does a stress that overflows
+    to inf or NaN, without a numpy warning) or when max_iters is exhausted.
     A step η below 2/λ_max(C) cannot raise the stress (de Leeuw 1977); with
     uniform weights λ_max(C) = n, so the default 0.05 loses that guarantee
     from 40 points on.
@@ -212,20 +213,21 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     step_diag = step.reshape(-1)[:: len(step) + 1]  # a writable view
     d = _distances(x)
     trace = [(x.copy(), _stress_total(dl, wt, d))]
-    for _ in range(max_iters):
-        step.fill(0.0)
-        np.divide(1.0, d, out=step, where=d > 0)
-        step *= wdl
-        rowsum = step.sum(axis=1)
-        step += c
-        np.subtract(c_diag, rowsum, out=step_diag)
-        step *= eta
-        x = x - step @ x
-        d = _distances(x)  # gives this step's stress and the next step's B(X)
-        value = _stress_total(dl, wt, d)
-        trace.append((x, value))
-        if trace[-2][1] - value < tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            step.fill(0.0)
+            np.divide(1.0, d, out=step, where=d > 0)
+            step *= wdl
+            rowsum = step.sum(axis=1)
+            step += c
+            np.subtract(c_diag, rowsum, out=step_diag)
+            step *= eta
+            x = x - step @ x
+            d = _distances(x)  # gives this step's stress and the next step's B(X)
+            value = _stress_total(dl, wt, d)
+            trace.append((x, value))
+            if not trace[-2][1] - value >= tol:  # a NaN stress stops the loop too
+                break
     return trace
 
 

@@ -160,6 +160,7 @@ class TensorDecomposition:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "prefactor", float(self.prefactor))
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_memo", (None, None, None))  # _factor_pass's last pass, not a field
 
     @property
     def num_terms(self) -> int:
@@ -202,7 +203,8 @@ class Point:
 class CoefficientSet:
     """Rayleigh quotients b, per-term products M, flattened weights c, the
     normalizer beta = 1 + sum |c_m|, the descent direction D x, and f(x) from the same b,
-    all formed from the factor images A_m x, which the circuit step takes as they are."""
+    all formed from the factor images A_m x, which the circuit step takes as they are.
+    b and the images are the decomposition's kept factor pass at x, so both are read-only."""
 
     b: np.ndarray       # K x p
     big_m: np.ndarray   # K
@@ -245,7 +247,15 @@ def expand_coefficients(decomp: TensorDecomposition) -> np.ndarray:
 
 
 def _factor_pass(decomp: TensorDecomposition, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the factors: the rows y_m = A_m x and the K x p quotients b_m = x . y_m."""
+    """One pass over the factors: the rows y_m = A_m x and the K x p quotients b_m = x . y_m.
+
+    The decomposition keeps its last pass as a one-entry memo keyed on the exact bytes of x, so
+    estimate_b and coefficients at one point share it, while a signed zero or a coords array
+    changed in place makes a new pass.  Both arrays are returned read-only, and one (K*p, N) array
+    stays alive per live decomposition."""
+    key = v.tobytes()
+    if decomp._memo[0] == key:
+        return decomp._memo[1:]
     ys = apply_factors(decomp.factors, np.broadcast_to(v, (decomp.flat_count, decomp.dim)))
     b = np.empty(len(ys))
     # one dot per row: a stacked ys @ v rounds differently, and b sets the output bytes
@@ -254,7 +264,11 @@ def _factor_pass(decomp: TensorDecomposition, v: np.ndarray) -> tuple[np.ndarray
         if abs(val.imag) > 1e-12:
             raise ValueError("quadratic form has a non-negligible imaginary part")
         b[m] = val.real
-    return b.reshape(decomp.num_terms, decomp.order_p), ys
+    b = b.reshape(decomp.num_terms, decomp.order_p)
+    b.setflags(write=False)
+    ys.setflags(write=False)
+    object.__setattr__(decomp, "_memo", (key, b, ys))
+    return b, ys
 
 
 def evaluate_objective(decomp: TensorDecomposition, x) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import settings
 
+from qdescent import poly
 from qdescent.poly import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Point, TensorDecomposition, UnitaryFactor
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
@@ -48,3 +49,11 @@ def kron_pauli(label):
     for ch in label.removeprefix("-"):
         out = np.kron(out, {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}[ch])
     return out
+
+
+def count_applications(monkeypatch):
+    """Patch poly.apply_factors to log the row count of every call; returns the log."""
+    applied = []
+    apply_factors = poly.apply_factors
+    monkeypatch.setattr(poly, "apply_factors", lambda f, rows: applied.append(len(rows)) or apply_factors(f, rows))
+    return applied

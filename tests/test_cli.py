@@ -1,9 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import count_applications
 from qdescent import sim
 from qdescent.cli import main
 from qdescent.mds import distances
@@ -383,6 +385,29 @@ def test_mds_diverged_run_is_not_converged(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_mds_stress_past_the_float_range_exits_1_without_a_summary(tmp_path, capsys):
+    base = str(tmp_path / "overflow")
+    for out in ([], ["--out", base]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise here
+            assert main(["mds", "--delta", str(GOLDEN / "square.csv"), "--seed", "2", "--eta", "1e300", *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no summary, so no "final_stress": Infinity
+        assert captured.err == "error: stress is not finite after iteration 1 (lower --eta)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", str(GOLDEN / "problem.json"), "--x0", "0.6,0.8"],
+    ["--problem", str(GOLDEN / "problem.json"), "--x0", "0.6,0.8", "--mode", "sampled", "--seed", "1"],
+], ids=["exact", "sampled"])
+def test_estimate_coeffs_makes_one_factor_pass(argv, monkeypatch, capsys):
+    applied = count_applications(monkeypatch)
+    assert main(["estimate-coeffs", *argv]) == 0
+    assert applied == [4]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["repro", "--noise", "-0.1"], "noise strength must lie in [0, 1]"),
     (["repro", "--noise", "nan"], "noise strength must lie in [0, 1]"),
@@ -492,10 +517,11 @@ def test_pauli_factor_past_qubit_cap_exits_1(tmp_path, capsys):
 
 
 def test_mds_without_embedding_columns_exits_1(capsys):
-    assert main(["mds", "--delta", str(GOLDEN / "square.csv"), "--seed", "1", "--dim", "0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "at least one column" in captured.err
+    for dim in ("0", "-1"):  # refused by the flag's type, which names the flag
+        assert main(["mds", "--delta", str(GOLDEN / "square.csv"), "--seed", "1", "--dim", dim]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"\nerror: argument --dim: must be a positive integer, not '{dim}'\n")
 
 
 @pytest.mark.parametrize("command", ["optimize", "estimate-coeffs"])

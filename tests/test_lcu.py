@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
+from conftest import (
+    aligned,
+    count_applications,
+    kron_pauli,
+    random_decomposition,
+    random_point,
+    random_symmetric_unitary,
+)
 from qdescent import poly, sim
 from qdescent.errors import CapacityError, DegenerateStepError, PostselectionError
 from qdescent.lcu import (
@@ -440,6 +447,50 @@ def test_optimize_makes_one_factor_pass_per_point(monkeypatch):
     assert applied == [4] * len(points)
     monkeypatch.undo()
     assert [r.f_value for r in records] == [evaluate_objective(benchmark(), r.point) for r in records]
+
+
+@pytest.mark.parametrize("make", [benchmark, lambda: random_decomposition(np.random.default_rng(23), dims=(4,))],
+                         ids=["pauli", "dense"])
+def test_estimate_b_and_the_step_from_one_point_share_one_factor_pass(make, monkeypatch):
+    decomp = make()
+    x = random_point(np.random.default_rng(24), decomp.dim)
+    applied = count_applications(monkeypatch)
+    b = estimate_b(decomp, x)
+    outcome = run_iteration(decomp, x, eta=0.5)
+    assert applied == [decomp.flat_count]
+    monkeypatch.undo()
+    fresh = make()  # the same problem, with no pass kept
+    assert np.max(np.abs(b - coefficients(fresh, x).b)) <= 1e-12
+    assert outcome.next_point.coords.tobytes() == run_iteration(fresh, x, eta=0.5).next_point.coords.tobytes()
+
+
+def test_a_new_point_by_bytes_gets_a_fresh_factor_pass(monkeypatch):
+    decomp = benchmark()
+    coords = np.array([1.0, 0.0])
+    x = Point(coords)  # aliases coords
+    applied = count_applications(monkeypatch)
+    first = coefficients(decomp, x)
+    signed = coefficients(decomp, Point(np.array([1.0, -0.0])))  # equal to the first point, not in bytes
+    again = coefficients(decomp, x)
+    coords[:] = [0.6, 0.8]  # changed in place after the pass
+    moved = coefficients(decomp, x)
+    assert applied == [4, 4, 4, 4]
+    monkeypatch.undo()
+    for got, point in ((first, [1.0, 0.0]), (signed, [1.0, -0.0]), (again, [1.0, 0.0]), (moved, [0.6, 0.8])):
+        ref = coefficients(benchmark(), Point(np.array(point)))
+        assert got.images.tobytes() == ref.images.tobytes() and got.b.tobytes() == ref.b.tobytes()
+    # "Z" maps (1, +-0) to (1, -+0), so the signed zero shows in the images
+    assert first.images.tobytes() != signed.images.tobytes()
+
+
+def test_the_kept_factor_pass_is_read_only_and_no_field():
+    decomp = benchmark()
+    cs = coefficients(decomp, Point.normalized([0.6, 0.8]))
+    for arr in (cs.b, cs.images):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    fresh = benchmark()
+    assert decomp == fresh and repr(decomp) == repr(fresh)
 
 
 def test_optimize_from_stationary_point():

@@ -473,3 +473,20 @@ def test_a_dropped_table_leaves_no_numpy_memory_behind():
         assert tracemalloc.get_traced_memory()[0] - base < 2**16  # less than one 16-qubit row
     finally:
         tracemalloc.stop()
+
+
+def test_a_dropped_decomposition_frees_its_kept_factor_pass():
+    x = Point(np.full(2**14, 2.0**-7))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        d = TensorDecomposition(dim=2**14, order_p=1, terms=[["X" * 14], ["Z" * 14]])
+        table = tracemalloc.get_traced_memory()[0] - base
+        evaluate_objective(d, x)
+        assert tracemalloc.get_traced_memory()[0] - base - table >= 2 * 2**14 * 16  # two complex rows
+        del d
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - base < 2**16  # less than one 14-qubit row
+    finally:
+        tracemalloc.stop()

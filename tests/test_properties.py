@@ -1,6 +1,8 @@
 """Property tests over Pauli strings, the circuit, the oracle and the input boundaries
 (derandomized, see conftest)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
 from qdescent.errors import DegenerateStepError
-from qdescent.lcu import run_iteration
+from qdescent.lcu import RegisterLayout, estimate_b, run_iteration
 from qdescent.mds import Configuration, Dissimilarities, Weights, distances, lcu_column_demo, mds_optimize, stress
 from qdescent.poly import (
     PauliStrings,
@@ -22,6 +24,7 @@ from qdescent.poly import (
     decomposition_to_dict,
     factor_matrices,
 )
+from qdescent.sim import HADAMARD
 
 signed_labels = st.tuples(st.sampled_from(["", "-"]), st.text(alphabet="IXYZ", min_size=1, max_size=6))
 
@@ -57,6 +60,39 @@ def test_pauli_table_rows_are_the_strings(labels, seed):
     for k, string in enumerate(strings):
         assert applied[k].tobytes() == apply_factors(string, rows[k:k + 1])[0].tobytes()
         assert np.max(np.abs(applied[k] - matrices[k] @ rows[k])) <= 1e-15
+
+
+def scaled_start_estimate_b(decomp, x, mode="exact", shots=None, seed=None):
+    """estimate_b as the start vector scaled by one Hadamard entry per select qubit, then the table
+    applied to it: the order that taking the factor pass's images first must reproduce."""
+    start = x.coords
+    for _ in range(RegisterLayout.for_problem(decomp.flat_count, decomp.dim).t1):
+        start = HADAMARD[0, 0].real * start
+    branches = apply_factors(decomp.factors, np.broadcast_to(start, (decomp.flat_count, decomp.dim)))
+    norms = np.sqrt(np.sum(np.abs(branches) ** 2, axis=1))
+    rng = np.random.default_rng(seed)
+    out = []
+    for branch, norm in zip(branches, norms):
+        exact = complex(x.coords @ (branch / norm)).real
+        if mode == "sampled":
+            exact = math.copysign(math.sqrt(rng.binomial(shots, min(max(exact * exact, 0.0), 1.0)) / shots), exact)
+        out.append(exact)
+    return np.reshape(out, (decomp.num_terms, decomp.order_p))
+
+
+@given(same_width_labels(), st.data(), st.integers(1, 1000), st.integers(0, 2**32 - 1))
+def test_estimate_b_from_the_factor_pass_is_the_scaled_start_formula(labels, data, shots, seed):
+    # a Pauli phase is +-1 or +-i, so the Hadamard scaling commutes with the table exactly
+    p = data.draw(st.sampled_from([k for k in (1, 2) if len(labels) % k == 0]))
+    decomp = TensorDecomposition(dim=len(PauliStrings(labels).phase[0]), order_p=p,
+                                 terms=[labels[a:a + p] for a in range(0, len(labels), p)])
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+    coords = np.array(data.draw(st.lists(entry, min_size=decomp.dim, max_size=decomp.dim)))
+    assume(np.linalg.norm(coords) > 1e-3)
+    x = Point.normalized(coords)
+    assert estimate_b(decomp, x).tobytes() == scaled_start_estimate_b(decomp, x).tobytes()
+    sampled = estimate_b(decomp, x, mode="sampled", shots=shots, seed=seed)
+    assert sampled.tobytes() == scaled_start_estimate_b(decomp, x, "sampled", shots, seed).tobytes()
 
 
 @st.composite
