@@ -9,7 +9,6 @@ exhausted.  Identical arguments (seed included) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -146,10 +145,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_repro(args) -> int:
     cases = ["s1", "s2"] if args.case == "both" else [args.case]
-    cfg = dataclasses.replace(
-        experiment.ExperimentConfig(),
-        eta=args.eta, threshold=args.threshold, max_iters=args.max_iters,
-    )
+    cfg = experiment.ExperimentConfig(eta=args.eta, threshold=args.threshold, max_iters=args.max_iters)
     rows_by_case = {}
     for idx, case in enumerate(cases):
         seed = None if args.seed is None else args.seed + idx
@@ -186,6 +182,8 @@ def cmd_mds(args) -> int:
     csv_text = "iter,stress\n" + "\n".join(
         f"{i},{_fmt(s)}" for i, (_, s) in enumerate(trace)) + "\n"
     final_x, final_s = trace[-1]
+    if not np.isfinite(trace[0][1]):
+        raise ValueError("stress is not finite at the starting configuration (rescale --x0)")
     if not np.isfinite(final_s):
         raise ValueError(f"stress is not finite after iteration {len(trace) - 1} (lower --eta)")
     # an oversized step also stops the descent, by raising stress: only a

@@ -10,7 +10,7 @@ depolarize-then-purify noise loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +28,15 @@ def benchmark_decomposition() -> TensorDecomposition:
     )
 
 
+# the fixed experiment: its operator, the two published starts and the t = pi/3 optimum
+DECOMP = benchmark_decomposition()
+STARTS = {"s1": Point.normalized([-0.38, 0.92]), "s2": Point.normalized([0.86, 0.50])}
+X_OPT = Point(np.array([0.5, math.sqrt(3) / 2]))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fixed benchmark configuration.
+    """The run settings of the fixed experiment, which ``repro`` takes from the command line.
 
     The step size is 0.5: both published starting points then descend inside
     the basin of the t = pi/3 minimum.  A full step of 1.0 overshoots from the
@@ -39,10 +45,6 @@ class ExperimentConfig:
     sensitivity checks either way.
     """
 
-    decomp: TensorDecomposition = field(default_factory=benchmark_decomposition)
-    x0_s1: Point = field(default_factory=lambda: Point.normalized([-0.38, 0.92]))
-    x0_s2: Point = field(default_factory=lambda: Point.normalized([0.86, 0.50]))
-    x_opt: Point = field(default_factory=lambda: Point(np.array([0.5, math.sqrt(3) / 2])))
     eta: float = 0.5
     threshold: float = 1e-3
     max_iters: int = 8
@@ -64,19 +66,17 @@ def run_case(case: str, mode: str = "exact", noise_eps: float = 0.0,
              seed: int | None = None, config: ExperimentConfig | None = None) -> list[lcu.IterationRecord]:
     """Full trajectory for case "s1" or "s2": the starting point as iteration 0, then every step."""
     cfg = config if config is not None else ExperimentConfig()
-    starts = {"s1": cfg.x0_s1, "s2": cfg.x0_s2}
-    key = case.lower()
-    if key not in starts:
+    x0 = STARTS.get(case.lower())
+    if x0 is None:
         raise ValueError(f"unknown case {case!r}: expected 's1' or 's2'")
-    x0 = starts[key]
     start = lcu.IterationRecord(
-        iteration=0, point=x0, f_value=evaluate_objective(cfg.decomp, x0), success_prob=None,
-        overlap=overlap(x0, cfg.x_opt), fidelity=None, label="start",
+        iteration=0, point=x0, f_value=evaluate_objective(DECOMP, x0), success_prob=None,
+        overlap=overlap(x0, X_OPT), fidelity=None, label="start",
     )
     return [start] + lcu.optimize(
-        cfg.decomp, x0, eta=cfg.eta, threshold=cfg.threshold, max_iters=cfg.max_iters,
+        DECOMP, x0, eta=cfg.eta, threshold=cfg.threshold, max_iters=cfg.max_iters,
         mode=mode, shots=None if mode == "exact" else 4096, seed=seed,
-        noise_eps=noise_eps, reference=cfg.x_opt,
+        noise_eps=noise_eps, reference=X_OPT,
     )
 
 

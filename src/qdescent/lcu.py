@@ -20,7 +20,7 @@ import numpy as np
 
 from . import poly, sim
 from .errors import CapacityError, DegenerateStepError, PostselectionError
-from .poly import CoefficientSet, Point, TensorDecomposition
+from .poly import Point, TensorDecomposition
 
 
 @dataclass(frozen=True)
@@ -178,25 +178,11 @@ def _check_mode(mode: str, shots: int | None, seed: int | None) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
-def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0,
-                  mode: str = "exact", shots: int | None = None,
-                  seed: int | None = None) -> IterationOutcome:
-    """One full circuit iteration from x.
-
-    Exact mode post-selects analytically.  Sampled mode draws the number of
-    post-selection successes among ``shots`` Bernoulli repetitions and fails
-    when none occur; the collapsed state itself is exact either way.
-    """
-    _check_mode(mode, shots, seed)
-    return _step(decomp, x, poly.coefficients(decomp, x), eta, mode, shots, seed)
-
-
-def _step(decomp: TensorDecomposition, x: Point, coeffs: CoefficientSet, eta: float,
-          mode: str, shots: int | None, seed: int | None) -> IterationOutcome:
-    """run_iteration from the coefficients already formed at x."""
+def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0) -> IterationOutcome:
+    """One exact circuit iteration from x: the coefficients at x, then one LCU step with
+    analytic post-selection.  Sampled stepping runs inside ``optimize``."""
+    coeffs = poly.coefficients(decomp, x)
     vec, prob = run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
-    if mode == "sampled" and np.random.default_rng(seed).binomial(shots, prob) == 0:
-        raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
     return IterationOutcome(next_point=Point(vec), success_prob=prob, expected_bernoulli_reps=1.0 / prob,
                             aa_reps_estimate=math.ceil(math.pi / (4.0 * math.asin(math.sqrt(prob)))))
 
@@ -242,10 +228,13 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
              noise_eps: float = 0.0, reference: Point | None = None) -> list[IterationRecord]:
     """Iterate the circuit until the sign-aligned step falls below threshold.
 
-    One record per executed iteration.  With noise_eps > 0 the post-selected
-    working state is depolarized, purified back to a pure point, and the
-    purified point carries the iteration; its fidelity against the exact state
-    is recorded.  Overlap columns are filled when a reference point is given.
+    One record per executed iteration; each runs run_lcu_step on the coefficients that the
+    previous record formed.  Sampled mode draws the number of post-selection successes among
+    ``shots`` Bernoulli repetitions and fails when none occur; the collapsed state itself is
+    exact either way.  With noise_eps > 0 the post-selected working state is depolarized,
+    purified back to a pure point, and the purified point carries the iteration; its fidelity
+    against the exact state is recorded.  Overlap columns are filled when a reference point
+    is given.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -260,9 +249,10 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     pad = 2**layout.n_work - decomp.dim
     coeffs = poly.coefficients(decomp, x)
     for t in range(1, max_iters + 1):
-        step_seed = None if seed is None else seed + t
-        outcome = _step(decomp, x, coeffs, eta, mode, shots, step_seed)
-        y = outcome.next_point.coords
+        y, prob = run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
+        # step t draws its shots with seed + t
+        if mode == "sampled" and np.random.default_rng(None if seed is None else seed + t).binomial(shots, prob) == 0:
+            raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
         fid = None
         if noise_eps > 0:  # the density matrix, and so the purified point, is the same for +-y
             pure = sim.QState(layout.n_work, np.pad(y, (0, pad)) if pad else y)
@@ -281,7 +271,7 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
             iteration=t,
             point=point,
             f_value=coeffs.f_value,
-            success_prob=outcome.success_prob,
+            success_prob=prob,
             overlap=None if reference is None else float(y @ reference.coords),
             fidelity=fid,
             label="converged" if converged else "continue",

@@ -29,7 +29,7 @@ _DEMO_ETA = 0.05  # the column demo's step
 
 
 def _square_checked(m, name: str) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+    a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(a)):
@@ -78,7 +78,7 @@ class Configuration:
     coords: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.coords, dtype=float)
+        a = np.array(self.coords, dtype=float)
         if a.ndim != 2:
             raise ValueError("configuration must be an n x m matrix")
         if a.shape[1] < 1:
@@ -211,9 +211,9 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     c_diag = c.diagonal()
     step = np.empty_like(c)
     step_diag = step.reshape(-1)[:: len(step) + 1]  # a writable view
-    d = _distances(x)
-    trace = [(x.copy(), _stress_total(dl, wt, d))]
     with np.errstate(over="ignore", invalid="ignore"):
+        d = _distances(x)
+        trace = [(x.copy(), _stress_total(dl, wt, d))]
         for _ in range(max_iters):
             step.fill(0.0)
             np.divide(1.0, d, out=step, where=d > 0)
@@ -243,8 +243,8 @@ class ColumnDemoResult:
     max_abs_diff: float
 
 
-def lcu_column_demo(delta, w, x, column: int = 0) -> ColumnDemoResult:
-    """Run one circuit step of D(X), with step _DEMO_ETA, on a single normalized column of X.
+def lcu_column_demo(delta, w, x) -> ColumnDemoResult:
+    """Run one circuit step of D(X), with step _DEMO_ETA, on the first column of X, normalized.
 
     Needs the point count to be a power of two so D decomposes over Pauli
     strings (p = 1, one term per nonzero component).  This demonstrates
@@ -255,8 +255,6 @@ def lcu_column_demo(delta, w, x, column: int = 0) -> ColumnDemoResult:
     n = pts.shape[0]
     if n < 2 or n & (n - 1) != 0:
         raise ValueError("column demo needs a power-of-two point count")
-    if not 0 <= column < pts.shape[1]:
-        raise ValueError("column index out of range")
     # a real symmetric D spans at most the n(n+1)/2 real symmetric Pauli
     # strings; a layout past the qubit cap fails before any string is built
     lcu.RegisterLayout.for_problem(n * (n + 1) // 2, n)
@@ -266,10 +264,10 @@ def lcu_column_demo(delta, w, x, column: int = 0) -> ColumnDemoResult:
         raise ValueError("D(X) is zero; nothing to demonstrate")
     labels = sorted(comps)
     weights = np.array([comps[lbl] for lbl in labels])
-    col = pts[:, column]
+    col = pts[:, 0]
     norm = np.linalg.norm(col)
     if norm < 1e-12:
-        raise ValueError("selected column has zero norm")
+        raise ValueError("first column has zero norm")
     unit = col / norm
     images = apply_factors(PauliStrings(labels), np.broadcast_to(unit, (len(labels), n)))
     vec, prob = lcu.run_lcu_step(images, weights, unit, _DEMO_ETA)

@@ -34,12 +34,12 @@ _DECOMPOSE_TOL = 1e-12  # pauli_decompose drops strings whose weight is at most 
 
 @dataclass(frozen=True)
 class UnitaryFactor:
-    """One dense unitary factor A_i^a, checked once when built; float64 when real, else complex128."""
+    """One dense unitary factor A_i^a, copied and checked once when built; float64 when real, else complex128."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("factor must be a square matrix")
         if not np.isfinite(m).all():  # before the matmul, which would warn on inf
@@ -174,22 +174,30 @@ class TensorDecomposition:
 
 @dataclass(frozen=True)
 class Point:
-    """A real unit vector, the current iterate under the spherical constraint."""
+    """A real unit vector, the current iterate under the spherical constraint.  It keeps a
+    read-only copy of its coordinates, which no write into the caller's array can move."""
 
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
+        c = np.array(self.coords, dtype=float)
         if c.ndim != 1:
             raise ValueError("point must be a 1-D real vector")
         if not abs(np.linalg.norm(c) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("point must be finite with unit norm within 1e-12")
+        c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
     @classmethod
     def normalized(cls, coords) -> "Point":
         c = np.asarray(coords, dtype=float)
-        n = np.linalg.norm(c)
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(c)
+        if n == 0 or n == math.inf:  # the squares can under- or overflow where the entries do not
+            scale = np.max(np.abs(c), initial=0.0)
+            if 0 < scale < math.inf:
+                c = c / scale
+                n = np.linalg.norm(c)
         if not 0 < n < math.inf:
             raise ValueError("cannot normalize a zero or non-finite vector")
         return cls(c / n)

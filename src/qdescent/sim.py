@@ -30,7 +30,7 @@ class QState:
     def __post_init__(self):
         if not 0 <= self.num_qubits <= MAX_QUBITS:
             raise CapacityError(f"qubit count {self.num_qubits} outside [0, {MAX_QUBITS}]")
-        a = np.asarray(self.amps, dtype=complex).reshape(-1)
+        a = np.array(self.amps, dtype=complex).reshape(-1)
         if a.shape[0] != 2**self.num_qubits:
             raise ValueError("amplitude count must be 2^num_qubits")
         if not abs(np.sum(np.abs(a) ** 2) - 1.0) <= _NORM_TOL:  # NaN fails too
@@ -52,7 +52,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError("entries must be dim x dim")
         if not np.all(np.isfinite(m)):
@@ -73,28 +73,15 @@ def _check_targets(q: int, targets: list[int]) -> None:
         raise ValueError("target qubit out of range")
 
 
-def _apply_on_tensor(tensor: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Apply a 2^t x 2^t matrix on the given tensor axes of a [2]*n array."""
-    n = tensor.ndim
-    t = len(axes)
-    moved = np.moveaxis(tensor, axes, range(t))
-    block = moved.reshape(2**t, -1)
-    block = np.asarray(u, dtype=complex) @ block
-    moved = block.reshape([2] * n)
-    return np.moveaxis(moved, range(t), axes)
+def _block(tensor: np.ndarray, qubits: list[int], bits: list[int]) -> np.ndarray:
+    """The view of a [2]*n tensor where the listed qubits take the given bits; the
+    other axes keep their order."""
+    return np.moveaxis(tensor, qubits, range(len(qubits)))[tuple(int(b) for b in bits)]
 
 
 def apply_unitary(state: QState, u: np.ndarray, targets: list[int]) -> QState:
-    """Apply a unitary on the listed target qubits."""
-    u = np.asarray(u, dtype=complex)
-    _check_targets(state.num_qubits, targets)
-    if u.shape != (2 ** len(targets), 2 ** len(targets)):
-        raise ValueError("unitary dimension must be 2^len(targets)")
-    if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
-        raise ValueError("matrix is not unitary within 1e-10")
-    tensor = state.amps.reshape([2] * state.num_qubits)
-    tensor = _apply_on_tensor(tensor, u, list(targets))
-    return QState(state.num_qubits, tensor.reshape(-1))
+    """Apply a unitary on the listed target qubits: apply_controlled with no controls."""
+    return apply_controlled(state, u, [], [], targets)
 
 
 def apply_controlled(state: QState, u: np.ndarray, controls: list[int],
@@ -111,11 +98,10 @@ def apply_controlled(state: QState, u: np.ndarray, controls: list[int],
     if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
         raise ValueError("matrix is not unitary within 1e-10")
     tensor = state.amps.reshape([2] * state.num_qubits).copy()
-    view = np.moveaxis(tensor, controls, range(len(controls)))
-    sub = view[tuple(int(b) for b in pattern)]
     remaining = [k for k in range(state.num_qubits) if k not in controls]
     axes = [remaining.index(t) for t in targets]
-    sub[...] = _apply_on_tensor(sub, u, axes)
+    sub = np.moveaxis(_block(tensor, controls, pattern), axes, range(len(axes)))  # targets first
+    sub[...] = (u @ sub.reshape(2 ** len(axes), -1)).reshape(sub.shape)
     return QState(state.num_qubits, tensor.reshape(-1))
 
 
@@ -128,9 +114,7 @@ def postselect(state: QState, qubits: list[int], outcome: list[int]) -> tuple[QS
     if len(outcome) != len(qubits):
         raise ValueError("outcome length must match qubit count")
     _check_targets(state.num_qubits, qubits)
-    tensor = state.amps.reshape([2] * state.num_qubits)
-    view = np.moveaxis(tensor, qubits, range(len(qubits)))
-    sub = view[tuple(int(b) for b in outcome)]
+    sub = _block(state.amps.reshape([2] * state.num_qubits), qubits, outcome)
     prob = float(np.sum(np.abs(sub) ** 2))
     if prob <= 1e-14:
         raise PostselectionError(f"outcome {outcome} on qubits {qubits} has probability {prob:.3e}")

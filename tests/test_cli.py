@@ -331,12 +331,15 @@ def test_estimate_coeffs_sampled_deterministic(problem_file, capsys):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_output_bytes_match_golden(name, capsys):
     # the golden files hold each invocation's stdout and exit code as captured
-    # from the gate-by-gate implementation; refactors must keep them byte for byte
+    # from the gate-by-gate implementation; refactors must keep them byte for byte,
+    # and write nothing to stderr (a leaked warning included)
     case = GOLDEN_CASES[name]
     inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
     argv = [inputs.get(arg, arg) for arg in case["argv"]]
     assert main(argv) == case["exit"]
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.out").read_text()
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -395,6 +398,20 @@ def test_mds_stress_past_the_float_range_exits_1_without_a_summary(tmp_path, cap
         assert captured.out == ""  # no summary, so no "final_stress": Infinity
         assert captured.err == "error: stress is not finite after iteration 1 (lower --eta)\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_mds_start_past_the_float_range_names_the_start(tmp_path, capsys):
+    x0 = tmp_path / "big.csv"
+    np.savetxt(x0, 1e200 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), delimiter=",")
+    base = str(tmp_path / "out")
+    for out in ([], ["--out", base]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise here
+            assert main(["mds", "--delta", str(GOLDEN / "square.csv"), "--x0", str(x0), *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: stress is not finite at the starting configuration (rescale --x0)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
 
 @pytest.mark.parametrize("argv", [

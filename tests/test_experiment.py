@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from qdescent.experiment import (
+    DECOMP,
+    STARTS,
+    X_OPT,
     ExperimentConfig,
     benchmark_decomposition,
     objective_theta,
@@ -57,18 +60,16 @@ def test_stationary_detector_agrees_with_circle_derivative():
 
 
 def test_config_points_are_unit_norm():
-    cfg = ExperimentConfig()
-    for p in (cfg.x0_s1, cfg.x0_s2, cfg.x_opt):
+    for p in (STARTS["s1"], STARTS["s2"], X_OPT):
         assert np.isclose(np.linalg.norm(p.coords), 1.0, atol=1e-12)
-    assert np.isclose(evaluate_objective(cfg.decomp, cfg.x_opt), -3 * SQ3 / 8, atol=1e-12)
+    assert np.isclose(evaluate_objective(DECOMP, X_OPT), -3 * SQ3 / 8, atol=1e-12)
 
 
 def test_overlap_values():
-    cfg = ExperimentConfig()
-    assert np.isclose(overlap(cfg.x_opt, cfg.x_opt), 1.0, atol=1e-14)
+    assert np.isclose(overlap(X_OPT, X_OPT), 1.0, atol=1e-14)
     e0, e1 = Point(np.array([1.0, 0.0])), Point(np.array([0.0, 1.0]))
     assert overlap(e0, e1) == 0.0
-    assert np.isclose(overlap(cfg.x0_s2, cfg.x_opt), 0.8675356778901935, atol=1e-12)
+    assert np.isclose(overlap(STARTS["s2"], X_OPT), 0.8675356778901935, atol=1e-12)
 
 
 def test_overlap_dimension_check():

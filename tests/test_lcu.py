@@ -342,20 +342,29 @@ def test_degenerate_step_raises():
 def test_sampled_iteration_state_is_exact():
     d = benchmark()
     x = Point.normalized([1.0, 1.0])
-    exact = run_iteration(d, x, eta=1.0)
-    sampled = run_iteration(d, x, eta=1.0, mode="sampled", shots=64, seed=5)
-    assert np.allclose(sampled.next_point.coords, exact.next_point.coords)
+    exact = optimize(d, x, eta=1.0, max_iters=1)
+    sampled = optimize(d, x, eta=1.0, max_iters=1, mode="sampled", shots=64, seed=5)
+    assert np.allclose(sampled[0].point.coords, exact[0].point.coords)
     with pytest.raises(ValueError):
-        run_iteration(d, x, eta=1.0, mode="sampled")
+        optimize(d, x, eta=1.0, max_iters=1, mode="sampled")
     with pytest.raises(ValueError):
-        run_iteration(d, x, eta=1.0, mode="nope")
+        optimize(d, x, eta=1.0, max_iters=1, mode="nope")
+
+
+def test_sampled_optimize_stops_at_the_first_step_whose_shots_all_miss():
+    d, x0 = benchmark(), Point.normalized([0.3, 0.7])
+    exact = optimize(d, x0, max_iters=30)
+    # step t draws its successes with seed + t, and the collapsed state is the exact one
+    miss = next(r for r in exact if np.random.default_rng(7 + r.iteration).binomial(1, r.success_prob) == 0)
+    assert miss.iteration > 1
+    with pytest.raises(PostselectionError, match=rf"no post-selection success in 1 shots \(p={miss.success_prob:.3e}\)"):
+        optimize(d, x0, max_iters=30, mode="sampled", shots=1, seed=7)
 
 
 @pytest.mark.parametrize("run", [
-    lambda x: run_iteration(benchmark(), x, mode="sampled", shots=64, seed=-1),
     lambda x: estimate_b(benchmark(), x, mode="sampled", shots=64, seed=-1),
     lambda x: optimize(benchmark(), x, seed=-2),
-], ids=["run_iteration", "estimate_b", "optimize"])
+], ids=["estimate_b", "optimize"])
 def test_negative_seed_is_refused(run):
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -"):
         run(Point.normalized([1.0, 1.0]))
@@ -466,14 +475,13 @@ def test_estimate_b_and_the_step_from_one_point_share_one_factor_pass(make, monk
 
 def test_a_new_point_by_bytes_gets_a_fresh_factor_pass(monkeypatch):
     decomp = benchmark()
-    coords = np.array([1.0, 0.0])
-    x = Point(coords)  # aliases coords
+    coords = np.array([1.0, 0.0])  # a raw vector, which a Point would copy
     applied = count_applications(monkeypatch)
-    first = coefficients(decomp, x)
+    first = coefficients(decomp, coords)
     signed = coefficients(decomp, Point(np.array([1.0, -0.0])))  # equal to the first point, not in bytes
-    again = coefficients(decomp, x)
+    again = coefficients(decomp, coords)
     coords[:] = [0.6, 0.8]  # changed in place after the pass
-    moved = coefficients(decomp, x)
+    moved = coefficients(decomp, coords)
     assert applied == [4, 4, 4, 4]
     monkeypatch.undo()
     for got, point in ((first, [1.0, 0.0]), (signed, [1.0, -0.0]), (again, [1.0, 0.0]), (moved, [0.6, 0.8])):

@@ -203,6 +203,12 @@ def test_optimize_recovers_triangle_from_random_starts():
         assert trace[-1][1] <= 1e-3
 
 
+def test_optimize_from_an_overflowing_start_warns_nothing():
+    # the start's squared distances overflow; pytest turns a numpy RuntimeWarning into an error
+    trace = mds_optimize(square_delta(), Weights.uniform(4), 1e200 * (SQUARE + 1.0))
+    assert trace[0][1] == np.inf
+
+
 def test_optimize_validates_eta():
     with pytest.raises(ValueError):
         mds_optimize(square_delta(), Weights.uniform(4), SQUARE, eta=0.0)
@@ -296,8 +302,8 @@ def test_optimize_rejects_mismatched_sizes(delta, w, x0):
 def test_column_demo_matches_classical_step():
     rng = np.random.default_rng(8)
     x = SQUARE + 0.2 * rng.standard_normal(SQUARE.shape)
-    for col in (0, 1):
-        res = lcu_column_demo(square_delta(), Weights.uniform(4), x, column=col)
+    for pts in (x, x[:, ::-1]):  # the demo steps column 0; with two columns D(X) is the same
+        res = lcu_column_demo(square_delta(), Weights.uniform(4), pts)
         assert res.max_abs_diff <= 1e-10
         assert np.allclose(res.quantum_point, res.classical_point, atol=1e-10)
         assert 0.0 < res.success_prob <= 1.0
@@ -349,8 +355,6 @@ def test_column_demo_past_qubit_cap_fails_fast():
 def test_column_demo_rejects_bad_inputs():
     with pytest.raises(ValueError):
         lcu_column_demo(distances(TRIANGLE), Weights.uniform(3), TRIANGLE)
-    with pytest.raises(ValueError):
-        lcu_column_demo(square_delta(), Weights.uniform(4), SQUARE, column=5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -12,6 +12,7 @@ from conftest import aligned, kron_pauli, random_decomposition, random_point, ra
 from qdescent import poly
 from qdescent.errors import CapacityError, DegenerateStepError
 from qdescent.experiment import benchmark_decomposition
+from qdescent.mds import Configuration, Dissimilarities, Weights
 from qdescent.poly import (
     PauliStrings,
     Point,
@@ -30,6 +31,7 @@ from qdescent.poly import (
     factor_to_dict,
     pauli_decompose,
 )
+from qdescent.sim import DensityMatrix, QState
 
 SQ3 = math.sqrt(3.0)
 
@@ -94,6 +96,37 @@ def test_point_requires_unit_norm():
         Point(np.array([1.0, 1.0]))
     p = Point.normalized([1.0, 1.0])
     assert np.isclose(np.linalg.norm(p.coords), 1.0)
+    with pytest.raises(ValueError, match="cannot normalize a zero or non-finite vector"):
+        Point.normalized([0.0, 0.0])
+
+
+@pytest.mark.parametrize("coords, unit", [
+    ([1e200, 1e200], [1 / math.sqrt(2), 1 / math.sqrt(2)]),  # the squares overflow
+    ([3e-170, 4e-170], [0.6, 0.8]),  # the squares underflow
+], ids=["huge", "tiny"])
+def test_normalized_takes_vectors_whose_squares_leave_the_float_range(coords, unit):
+    assert np.max(np.abs(Point.normalized(coords).coords - unit)) <= 1e-15
+
+
+@pytest.mark.parametrize("make, attr, raw", [
+    (Point, "coords", np.array([1.0, 0.0])),
+    (UnitaryFactor, "matrix", np.array([[1.0, 0.0], [0.0, 1j]])),
+    (lambda a: QState(1, a), "amps", np.array([1.0, 0.0], dtype=complex)),
+    (lambda a: DensityMatrix(2, a), "entries", np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)),
+    (Dissimilarities, "delta", np.array([[0.0, 1.0], [1.0, 0.0]])),
+    (Weights, "w", np.array([[0.0, 1.0], [1.0, 0.0]])),
+    (Configuration, "coords", np.array([[0.0, 1.0], [1.0, 0.0]])),
+], ids=["Point", "UnitaryFactor", "QState", "DensityMatrix", "Dissimilarities", "Weights", "Configuration"])
+def test_checked_values_keep_their_own_copy(make, attr, raw):
+    value = make(raw)
+    before = getattr(value, attr).copy()
+    raw[...] = 3.0  # after the checks, which a shared array would no longer meet
+    assert np.array_equal(getattr(value, attr), before)
+
+
+def test_point_coords_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        Point.normalized([0.6, 0.8]).coords[0] = 1.0
 
 
 def test_decomposition_shape_validation():
@@ -420,6 +453,8 @@ def test_pauli_decompose_rejects_complex_weights_and_bad_shapes():
     lambda: Point(np.array([np.inf, 0.0])),
     lambda: Point.normalized([np.inf, 1.0]),
     lambda: Point.normalized([np.nan, 1.0]),
+    lambda: Point.normalized([np.inf, np.inf]),  # max|c| does not rescale these
+    lambda: Point.normalized([np.nan, 1e200]),
 ])
 def test_point_rejects_non_finite_coordinates(make):
     with pytest.raises(ValueError, match="finite"):
