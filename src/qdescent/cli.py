@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -60,7 +61,12 @@ def _load_matrix(path: str, flag: str) -> np.ndarray:
             return np.asarray(rows, dtype=float)
         except OverflowError as exc:
             raise ValueError(f"{flag} entry past the float range: {exc}") from exc
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"; refused below
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not rows.size:
+        raise ValueError(f"{flag} file {path} holds no numbers")
+    return rows
 
 
 def _trajectory_rows(decomp, records) -> list[str]:

@@ -145,14 +145,12 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
 
     state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=images.dtype)
     state[0, 0, :n] = prep.v0[0, 0] * x_vec  # v0's flag=1 amplitude is scaled into the images
-    u = _reflector(prep.column)[0]
+    v = complete_from_first_column(prep.column) if layout.t1 <= 2 else None
+    u = _reflector(prep.column)[0] if v is None else v[:, 0]  # V's first column is u itself
     select = state[1, :k, :n]
     np.multiply(prep.v0[1, 0], images, out=select)
     select *= (prep.signs * u[:k])[:, None]
-    if layout.t1 <= 2:
-        state[1, 0] = (complete_from_first_column(prep.column).T @ state[1])[0]
-    else:
-        state[1, 0] = u[:k] @ state[1, :k]
+    state[1, 0] = (v.T @ state[1])[0] if v is not None else u[:k] @ state[1, :k]
 
     kept = (prep.v0.T @ state[:, 0])[0]  # after un-prepare only the kept row is read
     prob = float(np.sum(np.abs(kept) ** 2))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcu
-from .poly import PauliStrings, apply_factors, pauli_decompose
+from .poly import PauliStrings, _pauli_digits, apply_factors
 
 _DEMO_ETA = 0.05  # the column demo's step
 
@@ -101,19 +101,19 @@ class StressBreakdown:
 def distances(x) -> np.ndarray:
     """Euclidean distance matrix of a configuration.
 
-    The squares are summed column by column, which is numpy's left fold of
-    ``np.sum(diff**2, axis=2)`` bit for bit below 8 columns; from 8 columns numpy
-    sums pairwise, and the two can differ in the last place.
+    The column differences are squared in place and added in a left fold, ``np.sum(diff**2, axis=2)``
+    bit for bit below 8 columns; from 8 numpy sums pairwise, and the two can differ in the last place.
     """
     return _distances(x.coords if isinstance(x, Configuration) else Configuration(x).coords)
 
 
-def _distances(pts: np.ndarray) -> np.ndarray:
-    sq = np.zeros((len(pts), len(pts)))
-    for col in pts.T:
-        diff = col[:, None] - col
-        sq += np.square(diff, out=diff)
-    return np.sqrt(sq, out=sq)
+def _distances(pts: np.ndarray, diff: np.ndarray | None = None) -> np.ndarray:
+    diff = np.subtract(pts.T[:, :, None], pts.T[:, None, :], out=diff)
+    np.square(diff, out=diff)
+    d = diff[0]
+    for sq in diff[1:]:
+        d += sq
+    return np.sqrt(d, out=d)
 
 
 def _same_points(delta, w, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,9 +136,9 @@ def stress(delta, w, x) -> StressBreakdown:
     return StressBreakdown(total=_stress_total(dl, wt, d), const=const, g=g, h_squared=h2)
 
 
-def _stress_total(dl: np.ndarray, wt: np.ndarray, d: np.ndarray) -> float:
-    """½ΣΣ w (d - δ)², from one residual squared and weighted in place."""
-    resid = d - dl
+def _stress_total(dl: np.ndarray, wt: np.ndarray, d: np.ndarray, resid: np.ndarray | None = None) -> float:
+    """½ΣΣ w (d - δ)², from one residual (in the scratch resid when given) squared and weighted in place."""
+    resid = np.subtract(d, dl, out=resid)
     resid *= resid
     resid *= wt
     return 0.5 * float(resid.sum())
@@ -196,9 +196,9 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     d > 0 (else 0), times w·δ, plus C off the diagonal, C_ii minus the row sum
     on it, times η.  That is the arithmetic of ``eta * descent_operator`` in
     the same order, so the trace equals the public operators' bit for bit;
-    the stress comes from one residual (d - δ)²·w formed in place.  From 8
-    columns on, ``distances`` may differ from a broadcast sum in the last
-    place, and the trace with it.
+    the stress comes from one residual (d - δ)²·w, all in scratch allocated once
+    per call.  From 8 columns on, ``distances`` may differ from a broadcast sum
+    in the last place, and the trace with it.
     """
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
@@ -209,11 +209,11 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     dl, wt, x = _same_points(delta, w, x0)
     c, wdl = _laplacian(wt), wt * dl
     c_diag = c.diagonal()
-    step = np.empty_like(c)
+    step, resid, diff = np.empty_like(c), np.empty_like(c), np.empty((x.shape[1],) + c.shape)
     step_diag = step.reshape(-1)[:: len(step) + 1]  # a writable view
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _distances(x)
-        trace = [(x.copy(), _stress_total(dl, wt, d))]
+        d = _distances(x, diff)  # diff[0], summed in the (m, n, n) scratch, so each step rewrites d
+        trace = [(x.copy(), _stress_total(dl, wt, d, resid))]
         for _ in range(max_iters):
             step.fill(0.0)
             np.divide(1.0, d, out=step, where=d > 0)
@@ -222,9 +222,9 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
             step += c
             np.subtract(c_diag, rowsum, out=step_diag)
             step *= eta
-            x = x - step @ x
-            d = _distances(x)  # gives this step's stress and the next step's B(X)
-            value = _stress_total(dl, wt, d)
+            x = x - np.dot(step, x)
+            _distances(x, diff)  # d now gives this step's stress and the next step's B(X)
+            value = _stress_total(dl, wt, d, resid)
             trace.append((x, value))
             if not trace[-2][1] - value >= tol:  # a NaN stress stops the loop too
                 break
@@ -259,19 +259,18 @@ def lcu_column_demo(delta, w, x) -> ColumnDemoResult:
     # strings; a layout past the qubit cap fails before any string is built
     lcu.RegisterLayout.for_problem(n * (n + 1) // 2, n)
     dmat = _laplacian(wt) - 2.0 * _b(dl, wt, pts)
-    comps = pauli_decompose(dmat)
-    if not comps:
+    digits, weights = _pauli_digits(dmat)  # kept in sorted label order
+    if not len(weights):
         raise ValueError("D(X) is zero; nothing to demonstrate")
-    labels = sorted(comps)
-    weights = np.array([comps[lbl] for lbl in labels])
     col = pts[:, 0]
     norm = np.linalg.norm(col)
     if norm < 1e-12:
         raise ValueError("first column has zero norm")
     unit = col / norm
-    images = apply_factors(PauliStrings(labels), np.broadcast_to(unit, (len(labels), n)))
+    table = PauliStrings.from_digits(digits)
+    images = apply_factors(table, np.broadcast_to(unit, (len(weights), n)))
     vec, prob = lcu.run_lcu_step(images, weights, unit, _DEMO_ETA)
     classical = unit - _DEMO_ETA * dmat @ unit
     classical = classical / np.linalg.norm(classical)
-    return ColumnDemoResult(labels=labels, weights=weights, quantum_point=vec, classical_point=classical,
+    return ColumnDemoResult(labels=list(table.labels), weights=weights, quantum_point=vec, classical_point=classical,
                             success_prob=prob, max_abs_diff=float(np.max(np.abs(vec - classical))))

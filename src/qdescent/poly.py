@@ -25,8 +25,8 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI_LETTERS = np.array(list("IXYZ"))
-_PAULI_HALF_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1) / 2  # sigma^T / 2
+_PAULI_LETTERS = np.array(list("IXYZ"))  # digit d is letter _PAULI_LETTERS[d]
+_PAULI_HALF_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).T.reshape(4, 4) / 2  # [2r + c, s] = sigma_s[c, r] / 2
 
 _EXPAND_GUARD = 2**20
 _DECOMPOSE_TOL = 1e-12  # pauli_decompose drops strings whose weight is at most this
@@ -56,12 +56,7 @@ class UnitaryFactor:
 
 
 def _pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, 2^q) column and phase tables of K Pauli labels on the same q qubits, parsed at
-    once (qubit 0 the most significant bit).  Row r of string k holds (-i)^#Y * (-1)^popcount(r
-    & zmask), negated for a leading "-", in column r ^ xmask, where xmask marks the X or Y
-    letters and zmask the Y or Z letters; phases stay complex even where real, because real
-    phases would move 6 golden outputs.  More than sim.MAX_QUBITS qubits is refused before the
-    2^q tables are allocated."""
+    """_digit_tables of K Pauli labels on the same qubits, parsed at once, a leading "-" as one negation."""
     bodies = [lbl.removeprefix("-") if isinstance(lbl, str) else "" for lbl in labels]
     joined, q = "".join(bodies), len(bodies[0]) if bodies else 0
     if not q or joined.strip("IXYZ") or set(map(len, bodies)) != {q}:
@@ -69,14 +64,22 @@ def _pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
             if not body or body.strip("IXYZ"):
                 raise ValueError(f"unknown Pauli string {lbl!r}")
         raise ValueError("need one or more Pauli strings, all on the same number of qubits")
+    letters = np.frombuffer(joined.encode(), dtype=np.uint8).reshape(len(bodies), q)
+    negated = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels)) - q
+    return _digit_tables(np.frombuffer(b"IXYZ", dtype=np.uint8).searchsorted(letters), negated)
+
+
+def _digit_tables(digits: np.ndarray, negated) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, 2^q) column and phase tables of K strings as (K, q) base-4 digits, IXYZ = 0123, qubit 0 the
+    top bit.  Row r of string k holds (-i)^#Y (-1)^popcount(r & zmask), negated negated[k] times, in column
+    r ^ xmask (xmask marks X or Y, zmask Y or Z).  Phases stay complex: real ones move 6 golden outputs."""
+    q = digits.shape[1]
     if q > sim.MAX_QUBITS:
         raise CapacityError(f"Pauli string needs {q} qubits (cap {sim.MAX_QUBITS})")
-    letters = np.frombuffer(joined.encode(), dtype=np.uint8).reshape(len(bodies), q)
-    is_y = letters == ord("Y")
+    is_y = digits == 2
     place = 1 << np.arange(q - 1, -1, -1)
-    xmask = ((letters == ord("X")) | is_y) @ place
-    zmask = ((letters == ord("Z")) | is_y) @ place
-    negated = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels)) - q
+    xmask = ((digits == 1) | is_y) @ place
+    zmask = (digits >= 2) @ place
     k = (is_y.sum(axis=1) + 2 * negated) % 4  # a leading "-" is (-i)^2
     parity = np.zeros(1, dtype=np.int8)  # parity[r] = popcount(r) mod 2
     for _ in range(q):
@@ -97,9 +100,15 @@ class PauliStrings:
     def __post_init__(self):
         labels = tuple(self.labels)
         cols, phase = _pauli_tables(labels)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "phase", phase)
+        self.__dict__.update(labels=labels, cols=cols, phase=phase)  # frozen: past __setattr__
+
+    @classmethod
+    def from_digits(cls, digits: np.ndarray) -> "PauliStrings":
+        """The unsigned strings of (K, q >= 1) digits as _digit_tables reads them; no label is parsed."""
+        table, (cols, phase) = object.__new__(cls), _digit_tables(digits, 0)
+        labels = tuple(_PAULI_LETTERS[digits].view(f"<U{digits.shape[1]}").ravel().tolist())
+        table.__dict__.update(labels=labels, cols=cols, phase=phase)
+        return table
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -352,28 +361,31 @@ def classical_iterate(decomp: TensorDecomposition, x: Point, eta: float) -> tupl
 
 
 def pauli_decompose(matrix: np.ndarray) -> dict[str, float]:
-    """Real coefficients of a symmetric matrix over the Pauli-string basis.
+    """Real coefficients tr(P M) / 2^q of a finite 2^q x 2^q real symmetric matrix over the Pauli
+    strings P, in sorted label order; weights at most _DECOMPOSE_TOL are dropped (see _pauli_digits)."""
+    digits, weights = _pauli_digits(matrix)
+    return dict(zip(map("".join, _PAULI_LETTERS[digits].tolist()), weights.tolist()))
 
-    Works on 2^q x 2^q real symmetric matrices; coefficients are
-    tr(P M) / 2^q and strings with weight at most _DECOMPOSE_TOL are dropped.
-    The trace factorizes over qubits: each qubit's (row, column) axis pair is contracted with the
-    stacked sigma^T / 2, appending a Pauli axis, in O(q 4^q) with no string built (arXiv:2310.13421).
-    """
+
+def _pauli_digits(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept strings as (K, q) base-4 digits (see _digit_tables) and weights, in sorted label order, in
+    O(q 4^q) (arXiv:2310.13421): per qubit, one np.dot of the C-contiguous operand np.tensordot would form
+    with sigma^T / 2 contracts a (row, column) pair and appends a Pauli index, rounding as tensordot."""
     m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
-    q = int(round(math.log2(n)))
-    if m.shape != (n, n) or 2**q != n:
-        raise ValueError("matrix must be square with power-of-two dimension")
+    n = len(m) if m.ndim else 0
+    if m.shape != (n, n) or n & (n - 1) or not n:
+        raise ValueError(f"matrix must be non-empty and square with power-of-two dimension, not {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    q = n.bit_length() - 1
     t = m.reshape((2,) * (2 * q)).transpose(np.arange(2 * q).reshape(2, q).T.ravel())  # r0, c0, r1, ...
     for _ in range(q):
-        t = np.tensordot(t, _PAULI_HALF_T, axes=([0, 1], [1, 2]))
+        t = np.dot(np.ascontiguousarray(t.reshape(4, -1).T), _PAULI_HALF_T)
     coeffs = t.reshape(-1)  # in itertools.product("IXYZ") order
     if np.max(np.abs(coeffs.imag)) > 1e-9:
         raise ValueError("matrix is not symmetric real: complex Pauli weight found")
     kept = np.flatnonzero(np.abs(coeffs.real) > _DECOMPOSE_TOL)
-    digits = kept[:, None] >> 2 * np.arange(q - 1, -1, -1) & 3  # base 4, qubit 0 first
-    labels = ("".join(row) for row in _PAULI_LETTERS[digits].tolist())
-    return dict(zip(labels, coeffs.real[kept].tolist()))
+    return kept[:, None] >> 2 * np.arange(q - 1, -1, -1) & 3, coeffs.real[kept]
 
 
 def factor_to_dict(factor: UnitaryFactor | str) -> dict:

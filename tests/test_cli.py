@@ -414,6 +414,18 @@ def test_mds_start_past_the_float_range_names_the_start(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
 
+@pytest.mark.parametrize("flag", ["--delta", "--weights", "--x0"])
+def test_mds_empty_csv_exits_1_with_only_the_error_line(flag, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    inputs = {"--delta": str(GOLDEN / "square.csv"), flag: str(empty)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" warning would raise here
+        assert main(["mds", *(token for pair in inputs.items() for token in pair)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} file {empty} holds no numbers\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--problem", str(GOLDEN / "problem.json"), "--x0", "0.6,0.8"],
     ["--problem", str(GOLDEN / "problem.json"), "--x0", "0.6,0.8", "--mode", "sampled", "--seed", "1"],

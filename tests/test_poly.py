@@ -447,6 +447,18 @@ def test_pauli_decompose_rejects_complex_weights_and_bad_shapes():
         pauli_decompose(np.eye(3))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    (np.full((4, 4), np.nan), "matrix entries must be finite"),
+    (np.array([[0.0, np.inf], [np.inf, 0.0]]), "matrix entries must be finite"),
+    (np.array([[-np.inf, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+    (np.zeros((0, 0)), r"non-empty .* not \(0, 0\)"),
+], ids=["all-nan", "inf", "minus-inf", "empty"])
+def test_pauli_decompose_refuses_non_finite_and_empty_matrices(matrix, message):
+    # an all-NaN or infinite matrix once read as the zero matrix ({}), and an empty one failed in log2
+    with pytest.raises(ValueError, match=message):
+        pauli_decompose(matrix)
+
+
 @pytest.mark.parametrize("make", [
     lambda: Point(np.array([np.nan, np.nan])),
     lambda: Point(np.array([np.nan, 1.0])),

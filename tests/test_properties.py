@@ -1,6 +1,7 @@
 """Property tests over Pauli strings, the circuit, the oracle and the input boundaries
 (derandomized, see conftest)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,12 @@ from conftest import aligned, kron_pauli, random_decomposition, random_point, ra
 from qdescent.errors import DegenerateStepError
 from qdescent.lcu import RegisterLayout, estimate_b, run_iteration
 from qdescent.mds import Configuration, Dissimilarities, Weights, distances, lcu_column_demo, mds_optimize, stress
+from qdescent import poly
 from qdescent.poly import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PauliStrings,
     Point,
     TensorDecomposition,
@@ -23,6 +29,7 @@ from qdescent.poly import (
     decomposition_from_dict,
     decomposition_to_dict,
     factor_matrices,
+    pauli_decompose,
 )
 from qdescent.sim import HADAMARD
 
@@ -60,6 +67,41 @@ def test_pauli_table_rows_are_the_strings(labels, seed):
     for k, string in enumerate(strings):
         assert applied[k].tobytes() == apply_factors(string, rows[k:k + 1])[0].tobytes()
         assert np.max(np.abs(applied[k] - matrices[k] @ rows[k])) <= 1e-15
+
+
+@given(same_width_labels())
+def test_a_table_from_digits_is_the_parsed_table(labels):
+    bodies = [label.removeprefix("-") for label in labels]
+    digits = np.array([["IXYZ".index(ch) for ch in body] for body in bodies])
+    table, parsed = PauliStrings.from_digits(digits), PauliStrings(bodies)
+    assert table.labels == parsed.labels and table == parsed
+    assert table.cols.tobytes() == parsed.cols.tobytes() and table.phase.tobytes() == parsed.phase.tobytes()
+    # the parser reads signed labels as digits plus negations, then builds through the same routine
+    signed = PauliStrings(labels)
+    cols, phase = poly._digit_tables(digits, np.array([len(lbl) - len(body) for lbl, body in zip(labels, bodies)]))
+    assert signed.cols.tobytes() == cols.tobytes() and signed.phase.tobytes() == phase.tobytes()
+
+
+def tensordot_decompose(m):
+    """Every Pauli weight of m by one np.tensordot per qubit against the stacked sigma^T / 2, the
+    contraction that pauli_decompose's np.dot must round like, keyed by label when above 1e-12."""
+    q = len(m).bit_length() - 1
+    half_t = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1) / 2
+    t = np.asarray(m, dtype=complex).reshape((2,) * (2 * q)).transpose(np.arange(2 * q).reshape(2, q).T.ravel())
+    for _ in range(q):
+        t = np.tensordot(t, half_t, axes=([0, 1], [1, 2]))
+    labels = map("".join, itertools.product("IXYZ", repeat=q))
+    return {label: w for label, w in zip(labels, t.reshape(-1).real.tolist()) if abs(w) > 1e-12}
+
+
+@given(st.integers(1, 7), st.floats(0.02, 1.0), st.integers(0, 2**32 - 1))
+def test_pauli_decompose_is_the_tensordot_contraction_bit_for_bit(q, density, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2**q, 2**q)) * (rng.random((2**q, 2**q)) < density)  # sparse at low density
+    m = a + a.T
+    comps, expected = pauli_decompose(m), tensordot_decompose(m)
+    assert list(comps) == list(expected)
+    assert np.array(list(comps.values())).tobytes() == np.array(list(expected.values())).tobytes()
 
 
 def scaled_start_estimate_b(decomp, x, mode="exact", shots=None, seed=None):
@@ -146,6 +188,7 @@ def test_non_finite_input_is_rejected_at_every_boundary(bad, seed):
     dense[rng.integers(len(dense))][rng.integers(2)] = bad
     mds_inputs = [distances(rng.standard_normal((n, 2))), Weights.uniform(n).w, rng.standard_normal((n, 2))]
     checks = [
+        lambda: pauli_decompose(spoiled(mds_inputs[0])),
         lambda: Point(spoiled(random_point(rng, n).coords)),
         lambda: UnitaryFactor(spoiled(random_symmetric_unitary(rng, n))),
         lambda: TensorDecomposition(dim=2, order_p=1, terms=[["X"]], prefactor=bad),
