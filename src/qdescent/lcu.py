@@ -89,7 +89,7 @@ def _reflector(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u = col / ||col|| and w = u + sign(u0) e0: H = I - 2 w w^T / (w.w) maps e0 onto
     -sign(u0) * u (the sign keeps w away from cancellation)."""
     u = np.asarray(col, dtype=float)
-    u = u / np.linalg.norm(u)
+    u = u / math.sqrt(u @ u)
     w = u.copy()
     w[0] += 1.0 if u[0] >= 0 else -1.0
     return u, w
@@ -153,17 +153,17 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
     state[1, 0] = (v.T @ state[1])[0] if v is not None else u[:k] @ state[1, :k]
 
     kept = (prep.v0.T @ state[:, 0])[0]  # after un-prepare only the kept row is read
-    prob = float(np.sum(np.abs(kept) ** 2))
+    prob = float((np.abs(kept) ** 2).sum())
     if prep.beta * math.sqrt(prob) < 1e-14:
         raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
     if prob <= 1e-14:
         raise PostselectionError(f"all-zero ancilla outcome has probability {prob:.3e}")
     amps = kept / np.sqrt(prob)
     prob = min(prob, 1.0)  # rounding can leave the subspace weight a few ulp above 1
-    if np.max(np.abs(amps.imag)) > 1e-10:
+    if np.abs(amps.imag).max() > 1e-10:
         raise ValueError("post-selected state is not real; factors must be real-valued")
-    vec = amps.real[:n]
-    vec = vec / np.linalg.norm(vec)
+    vec = np.ascontiguousarray(amps.real[:n])  # as np.linalg.norm makes it before its dot
+    vec = vec / math.sqrt(vec @ vec)
     return vec, prob
 
 
@@ -231,8 +231,10 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     ``shots`` Bernoulli repetitions and fails when none occur; the collapsed state itself is
     exact either way.  With noise_eps > 0 the post-selected working state is depolarized,
     purified back to a pure point, and the purified point carries the iteration; its fidelity
-    against the exact state is recorded.  Overlap columns are filled when a reference point
-    is given.
+    against the exact state is recorded.  That round runs unchecked on the arrays the loop has
+    made, through sim's kernels and in the order of the checked chain QState, to_density,
+    depolarize, fidelity, purify, whose bytes it gives.  Overlap columns are filled when a
+    reference point is given.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -243,8 +245,7 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     _check_mode(mode, shots, seed)
     records: list[IterationRecord] = []
     x = x0
-    layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
-    pad = 2**layout.n_work - decomp.dim
+    d = 2 ** RegisterLayout.for_problem(decomp.flat_count, decomp.dim).n_work
     coeffs = poly.coefficients(decomp, x)
     for t in range(1, max_iters + 1):
         y, prob = run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
@@ -253,15 +254,17 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
             raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
         fid = None
         if noise_eps > 0:  # the density matrix, and so the purified point, is the same for +-y
-            pure = sim.QState(layout.n_work, np.pad(y, (0, pad)) if pad else y)
-            rho = sim.to_density(pure)
-            noisy = sim.depolarize(rho, noise_eps)
-            fid = sim.fidelity(rho, noisy)
-            recovered = sim.purify(noisy)[: decomp.dim]
-            y = recovered / np.linalg.norm(recovered)
+            amps = np.zeros(d, dtype=complex)
+            amps[: decomp.dim] = y
+            rho = np.outer(amps, amps.conj())
+            noisy = (1.0 - noise_eps) * rho + noise_eps * (np.eye(d) / d)
+            fid = sim._fidelity(rho, noisy)
+            recovered = sim._dominant(noisy)[: decomp.dim]
+            y = recovered / math.sqrt(recovered @ recovered)
         if float(y @ x.coords) < 0:
             y = -y
-        moved = float(np.linalg.norm(y - x.coords))
+        step = y - x.coords
+        moved = math.sqrt(step @ step)
         point = Point(y)
         converged = moved <= threshold
         coeffs = poly.coefficients(decomp, point)  # this record's f and the next step's weights

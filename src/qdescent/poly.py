@@ -318,7 +318,7 @@ def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
     v = _check_dim(decomp, x)
     b, ys = _factor_pass(decomp, v)
     k, p = decomp.num_terms, decomp.order_p
-    big_m = np.prod(b, axis=1)
+    big_m = b.prod(axis=1)
     c = np.empty(k * p)
     for a in range(k):
         for j in range(p):
@@ -327,7 +327,7 @@ def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
                 if i != j:
                     prod *= b[a, i]
             c[a * p + j] = prod
-    return CoefficientSet(b=b, big_m=big_m, c=c, total_weight=1.0 + float(np.sum(np.abs(c))),
+    return CoefficientSet(b=b, big_m=big_m, c=c, total_weight=1.0 + float(np.abs(c).sum()),
                           direction=c @ ys, f_value=_objective_from_b(decomp, b), images=ys)
 
 

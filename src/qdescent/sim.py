@@ -166,23 +166,33 @@ def depolarize(rho: DensityMatrix, eps: float) -> DensityMatrix:
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """tr(a b) / sqrt(tr(a^2) tr(b^2))."""
+    """tr(a b) / sqrt(tr(a^2) tr(b^2)) of two density matrices (checked _fidelity)."""
     if a.dim != b.dim:
         raise ValueError("density matrices must share a dimension")
-    num = np.trace(a.entries @ b.entries).real
-    den = np.sqrt(np.trace(a.entries @ a.entries).real * np.trace(b.entries @ b.entries).real)
+    return _fidelity(a.entries, b.entries)
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """fidelity's arithmetic on two square arrays, which the caller vouches for."""
+    num = np.trace(a @ b).real
+    den = np.sqrt(np.trace(a @ a).real * np.trace(b @ b).real)
     return float(num / den)
 
 
 def purify(rho: DensityMatrix) -> np.ndarray:
-    """Dominant eigenvector of a density matrix as a real unit vector.
+    """Dominant eigenvector of a density matrix as a real unit vector (checked _dominant).
 
     The phase is fixed so the largest-magnitude component is real positive;
     remaining imaginary parts are discarded and the vector renormalized.
     Raises when the top eigenvalue is degenerate (gap < 1e-10).
     """
-    vals, vecs = np.linalg.eigh(rho.entries)
-    if rho.dim > 1 and vals[-1] - vals[-2] < 1e-10:
+    return _dominant(rho.entries)
+
+
+def _dominant(m: np.ndarray) -> np.ndarray:
+    """purify's eigh, degeneracy check and phase fix, on an array the caller vouches is Hermitian."""
+    vals, vecs = np.linalg.eigh(m)
+    if m.shape[0] > 1 and vals[-1] - vals[-2] < 1e-10:
         raise PurificationError(f"top eigenvalue degenerate (gap {vals[-1] - vals[-2]:.3e})")
     v = vecs[:, -1]
     lead = np.argmax(np.abs(v))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_applications
-from qdescent import sim
+from qdescent import experiment, sim
 from qdescent.cli import main
 from qdescent.mds import distances
 from qdescent.poly import decomposition_to_dict
@@ -435,6 +435,25 @@ def test_estimate_coeffs_makes_one_factor_pass(argv, monkeypatch, capsys):
     assert main(["estimate-coeffs", *argv]) == 0
     assert applied == [4]
     capsys.readouterr()
+
+
+def test_noisy_repro_builds_no_checked_state_and_one_factor_pass_per_point(monkeypatch, capsys):
+    # the loop's noise round runs on arrays it has made and normalized itself; the checked
+    # types stay the entry points of the public functions, which still validate
+    built = {sim.QState: 0, sim.DensityMatrix: 0}
+    for cls in built:
+        def counted(self, cls=cls, check=cls.__post_init__):
+            built[cls] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setattr(experiment, "DECOMP", benchmark_decomposition())  # no factor pass kept yet
+    applied = count_applications(monkeypatch)
+    assert main(["repro", "--case", "s1", "--mode", "sampled", "--noise", "0.05", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert built == {sim.QState: 0, sim.DensityMatrix: 0}
+    assert applied == [4] * (json.loads(out[out.index("\n{") + 1:])["s1"]["iterations"] + 1)
+    sim.fidelity(sim.to_density(sim.QState.zero(1)), sim.to_density(sim.QState.zero(1)))
+    assert built == {sim.QState: 2, sim.DensityMatrix: 2}
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
-from qdescent.errors import DegenerateStepError
-from qdescent.lcu import RegisterLayout, estimate_b, run_iteration
+from qdescent import lcu, sim
+from qdescent.errors import DegenerateStepError, PurificationError
+from qdescent.lcu import RegisterLayout, estimate_b, optimize, run_iteration
 from qdescent.mds import Configuration, Dissimilarities, Weights, distances, lcu_column_demo, mds_optimize, stress
 from qdescent import poly
 from qdescent.poly import (
@@ -204,3 +206,52 @@ def test_non_finite_input_is_rejected_at_every_boundary(bad, seed):
     for check in checks:
         with pytest.raises(ValueError):
             check()
+
+
+def typed_noise_round(y, n_work, eps, x):
+    """The noise round through the checked types: the point optimize keeps, and the fidelity."""
+    rho = sim.to_density(sim.QState(n_work, np.pad(y, (0, 2**n_work - len(y)))))
+    noisy = sim.depolarize(rho, eps)
+    recovered = sim.purify(noisy)[: len(y)]
+    return aligned(recovered / np.linalg.norm(recovered), x), sim.fidelity(rho, noisy)
+
+
+@given(st.sampled_from([2, 3, 4, 5, 8]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 2**32 - 1))
+def test_the_loops_noise_round_is_the_typed_chain_bit_for_bit(n, eps, seed):
+    # optimize runs the round on arrays through sim's kernels; the checked types are the reference
+    rng = np.random.default_rng(seed)
+    decomp = random_decomposition(rng, dims=(n,))
+    x, y = random_point(rng, n), random_point(rng, n).coords
+    n_work = RegisterLayout.for_problem(decomp.flat_count, n).n_work
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lcu, "run_lcu_step", lambda images, c, x_vec, eta: (y, 0.5))
+        for strength in (eps, 1.0):  # eps = 1 leaves I/d, whose top eigenvalue is degenerate
+            try:
+                want, fid = typed_noise_round(y, n_work, strength, x.coords)
+            except PurificationError:
+                with pytest.raises(PurificationError):
+                    optimize(decomp, x, noise_eps=strength, max_iters=1)
+                continue
+            assert strength < 1.0
+            record, = optimize(decomp, x, noise_eps=strength, max_iters=1)
+            assert record.point.coords.tobytes() == want.tobytes()
+            assert np.float64(record.fidelity).tobytes() == np.float64(fid).tobytes()
+
+
+finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-1e-300, 1e-300), st.sampled_from([5e-324, -2.5e-310, 1e300, -1e300]))
+
+
+@given(arrays(np.float64, st.integers(1, 300), elements=finite_floats), st.integers(1, 4))
+def test_method_reductions_and_dot_norm_are_numpys_wrappers_bit_for_bit(v, cols):
+    # the step's reductions call the ndarray methods, and its norms of real contiguous vectors
+    # are sqrt(v @ v), numpy's own formula; both must keep every output byte
+    def same(a, b):
+        return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+    b = v[: len(v) // cols * cols].reshape(-1, cols)
+    with np.errstate(over="ignore"):
+        assert same(math.sqrt(v @ v), np.linalg.norm(v))
+        assert same(v.sum(), np.sum(v)) and same(v.max(), np.max(v))
+        assert same(b.prod(axis=1), np.prod(b, axis=1))

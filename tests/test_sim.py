@@ -162,12 +162,12 @@ def test_norm_preserved_by_random_circuits():
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.array([[0.5, 0.1], [0.2, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.array([[0.9, 0.0], [0.0, 0.2]]))  # trace != 1
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="must be Hermitian within 1e-10"):
+        DensityMatrix(2, np.array([[0.5, 0.1], [0.2, 0.5]]))
+    with pytest.raises(ValueError, match="must have unit trace within 1e-10"):
+        DensityMatrix(2, np.array([[0.9, 0.0], [0.0, 0.2]]))
+    with pytest.raises(ValueError, match="must be positive semidefinite within 1e-10"):
+        DensityMatrix(2, np.array([[1.2, 0.0], [0.0, -0.2]]))
 
 
 def test_depolarize_endpoints():
