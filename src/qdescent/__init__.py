@@ -37,7 +37,6 @@ from .poly import (
     classical_iterate,
     coefficients,
     decomposition_from_dict,
-    decomposition_to_dict,
     evaluate_objective,
     expand_coefficients,
     pauli_decompose,

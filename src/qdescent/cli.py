@@ -211,6 +211,7 @@ def cmd_estimate_coeffs(args) -> int:
     coeffs = poly.coefficients(decomp, x0)
     b_circuit = lcu.estimate_b(decomp, x0, mode="exact")
     k, p = decomp.num_terms, decomp.order_p
+    big_m = coeffs.b.prod(axis=1)
     sampled = None
     if args.mode == "sampled":
         sampled = lcu.estimate_b(decomp, x0, mode="sampled", shots=args.shots, seed=args.seed)
@@ -223,7 +224,7 @@ def cmd_estimate_coeffs(args) -> int:
         for j in range(p):
             m = a * p + j
             row = (f"{m},{a + 1},{j + 1},{_fmt(b_circuit[a, j])},"
-                   f"{_fmt(coeffs.big_m[a])},{_fmt(coeffs.c[m])}")
+                   f"{_fmt(big_m[a])},{_fmt(coeffs.c[m])}")
             if sampled is not None:
                 dev = abs(sampled[a, j] - b_circuit[a, j])
                 prob = min(max(b_circuit[a, j] ** 2, 0.0), 1.0)
@@ -231,7 +232,7 @@ def cmd_estimate_coeffs(args) -> int:
                 max_dev = max(max_dev, dev)
                 row += f",{_fmt(sampled[a, j])},{_fmt(dev)},{_fmt(bound)}"
             print(row)
-    print(f"beta,{_fmt(coeffs.total_weight)}")
+    print(f"beta,{_fmt(1.0 + float(np.abs(coeffs.c).sum()))}")
     if sampled is not None:
         print(f"max_abs_dev,{_fmt(max_dev)}")
     return 0

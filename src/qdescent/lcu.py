@@ -63,8 +63,6 @@ class IterationOutcome:
 
     next_point: Point
     success_prob: float
-    expected_bernoulli_reps: float
-    aa_reps_estimate: int
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,9 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
     select *= (prep.signs * u[:k])[:, None]
     state[1, 0] = (v.T @ state[1])[0] if v is not None else u[:k] @ state[1, :k]
 
-    kept = (prep.v0.T @ state[:, 0])[0]  # after un-prepare only the kept row is read
+    # after un-prepare only the kept row is read; it is row 0 of the dense v0^T product, whose
+    # rounding 4 golden outputs pin (two scalar products, or v0[:, 0] @ state[:, 0], move them)
+    kept = (prep.v0.T @ state[:, 0])[0]
     prob = float((np.abs(kept) ** 2).sum())
     if prep.beta * math.sqrt(prob) < 1e-14:
         raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
@@ -181,8 +181,7 @@ def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0) -> It
     analytic post-selection.  Sampled stepping runs inside ``optimize``."""
     coeffs = poly.coefficients(decomp, x)
     vec, prob = run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
-    return IterationOutcome(next_point=Point(vec), success_prob=prob, expected_bernoulli_reps=1.0 / prob,
-                            aa_reps_estimate=math.ceil(math.pi / (4.0 * math.asin(math.sqrt(prob)))))
+    return IterationOutcome(next_point=Point(vec), success_prob=prob)
 
 
 def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",

@@ -5,9 +5,9 @@ An objective of even order 2p is held as
     f(x) = s * sum_a prod_{i=1..p} (x^T A_i^a x)
 
 with every factor ``A_i^a`` unitary.  From a point x the module derives the
-Rayleigh quotients b, their per-term products M, the linear-combination
-weights c, and the descent direction D x = sum_m c_m A_m x used by both the
-classical oracle iteration and the quantum pipeline.  One pass over the
+Rayleigh quotients b and the linear-combination weights c, which weigh the
+factor images A_m x into the descent direction D x = sum_m c_m A_m x used by
+both the classical oracle iteration and the quantum pipeline.  One pass over the
 factors forms every A_m x, which gives b and D x alike; D is never built.
 """
 
@@ -40,8 +40,8 @@ class UnitaryFactor:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("factor must be a square matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError("factor must be a non-empty square matrix")
         if not np.isfinite(m).all():  # before the matmul, which would warn on inf
             raise ValueError("factor entries must be finite")
         if not np.any(m.imag):
@@ -149,6 +149,8 @@ class TensorDecomposition:
         terms = tuple(tuple(t) for t in self.terms)
         if len(terms) < 1:
             raise ValueError("need at least one term")
+        if self.dim < 1:
+            raise ValueError("dimension must be >= 1")
         if self.order_p < 1:
             raise ValueError("order p must be >= 1")
         if any(len(term) != self.order_p for term in terms):
@@ -218,16 +220,12 @@ class Point:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Rayleigh quotients b, per-term products M, flattened weights c, the
-    normalizer beta = 1 + sum |c_m|, the descent direction D x, and f(x) from the same b,
-    all formed from the factor images A_m x, which the circuit step takes as they are.
-    b and the images are the decomposition's kept factor pass at x, so both are read-only."""
+    """Rayleigh quotients b, flattened weights c and f(x) from the same b, all formed from the
+    factor images A_m x, which the circuit step takes as they are.  b and the images are the
+    decomposition's kept factor pass at x, so both are read-only."""
 
     b: np.ndarray       # K x p
-    big_m: np.ndarray   # K
     c: np.ndarray       # K*p, order m = (a-1)*p + j
-    total_weight: float
-    direction: np.ndarray  # N, sum_m c_m A_m x (real when every factor is real)
     f_value: float
     images: np.ndarray  # K*p x N, row m = A_m x (complex for a Pauli table, whose phases are)
 
@@ -310,15 +308,14 @@ def _objective_from_b(decomp: TensorDecomposition, b: np.ndarray) -> float:
 
 
 def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
-    """b, M, the flattened weights c_m = s * prod_{i != j} b_i^a, and D x = sum_m c_m A_m x.
+    """b and the flattened weights c_m = s * prod_{i != j} b_i^a.
 
     The weights are built by direct product over the other factors of the
-    term, never by dividing M by b_j, so zero quotients are well defined.
+    term, never by dividing the term's product by b_j, so zero quotients are well defined.
     """
     v = _check_dim(decomp, x)
     b, ys = _factor_pass(decomp, v)
     k, p = decomp.num_terms, decomp.order_p
-    big_m = b.prod(axis=1)
     c = np.empty(k * p)
     for a in range(k):
         for j in range(p):
@@ -327,8 +324,7 @@ def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
                 if i != j:
                     prod *= b[a, i]
             c[a * p + j] = prod
-    return CoefficientSet(b=b, big_m=big_m, c=c, total_weight=1.0 + float(np.abs(c).sum()),
-                          direction=c @ ys, f_value=_objective_from_b(decomp, b), images=ys)
+    return CoefficientSet(b=b, c=c, f_value=_objective_from_b(decomp, b), images=ys)
 
 
 def classical_gradient(decomp: TensorDecomposition, x) -> np.ndarray:
@@ -338,7 +334,8 @@ def classical_gradient(decomp: TensorDecomposition, x) -> np.ndarray:
     twice this vector; the factor 2 is left to callers (and is covered by the
     finite-difference tests).
     """
-    g = coefficients(decomp, x).direction
+    coeffs = coefficients(decomp, x)
+    g = coeffs.c @ coeffs.images
     if np.max(np.abs(g.imag)) > 1e-10:
         raise ValueError("descent direction is not real; factors must be real-symmetric-like")
     return g.real
@@ -388,13 +385,6 @@ def _pauli_digits(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept[:, None] >> 2 * np.arange(q - 1, -1, -1) & 3, coeffs.real[kept]
 
 
-def factor_to_dict(factor: UnitaryFactor | str) -> dict:
-    if isinstance(factor, str):
-        return {"pauli": factor}
-    flat = [[float(z.real), float(z.imag)] for z in factor.matrix.reshape(-1)]
-    return {"dense": flat}
-
-
 def _json_number(value, field: str):
     """A JSON number as read; a JSON boolean or string is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -405,6 +395,8 @@ def _json_number(value, field: str):
 def _json_count(value, field: str) -> int:
     if isinstance(_json_number(value, field), float) and not value.is_integer():
         raise ValueError(f"'{field}' must be a whole number, not {value!r}")
+    if value < 1:
+        raise ValueError(f"'{field}' must be a positive whole number, not {value!r}")
     return int(value)
 
 
@@ -423,15 +415,6 @@ def factor_from_dict(d: dict, dim: int) -> UnitaryFactor | str:
             raise ValueError(f"dense factor needs {dim*dim} [re,im] pairs, got {len(vals)}")
         return UnitaryFactor(vals.reshape(dim, dim))
     raise ValueError(f"factor {d!r:.60} is not a JSON object with either a 'pauli' or a 'dense' key")
-
-
-def decomposition_to_dict(decomp: TensorDecomposition) -> dict:
-    return {
-        "dim": decomp.dim,
-        "p": decomp.order_p,
-        "prefactor": decomp.prefactor,
-        "terms": [[factor_to_dict(f) for f in term] for term in decomp.terms],
-    }
 
 
 def decomposition_from_dict(d: dict) -> TensorDecomposition:

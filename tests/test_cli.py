@@ -9,7 +9,6 @@ from conftest import count_applications
 from qdescent import experiment, sim
 from qdescent.cli import main
 from qdescent.mds import distances
-from qdescent.poly import decomposition_to_dict
 from qdescent.experiment import benchmark_decomposition
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -20,7 +19,7 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 @pytest.fixture
 def problem_file(tmp_path):
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(decomposition_to_dict(benchmark_decomposition())))
+    path.write_text((GOLDEN / "problem.json").read_text())  # the benchmark problem
     return str(path)
 
 
@@ -524,10 +523,15 @@ def test_malformed_factor_exits_1_naming_it(factor, named, tmp_path, capsys):
     ('"p": 2', '"p": true', "'p' must be a number, not True"),
     ('"prefactor": 0.5', '"prefactor": true', "'prefactor' must be a number, not True"),
     ('{"pauli": "Z"}', '{"dense": [[true, 0], [0, 0], [0, 0], [true, false]]}', "dense factor [[True, 0], "),
-], ids=["dim-fraction", "dim-bool", "p-fraction", "p-bool", "prefactor-bool", "dense-bool"])
+    (None, '{"dim": -1, "p": 1, "terms": [[{"dense": [[1, 0]]}]]}', "'dim' must be a positive whole number, not -1"),
+    (None, '{"dim": 0, "p": 1, "terms": [[{"dense": []}]]}', "'dim' must be a positive whole number, not 0"),
+    ('"p": 2', '"p": -1', "'p' must be a positive whole number, not -1"),
+    ('"p": 2', '"p": 0.0', "'p' must be a positive whole number, not 0.0"),
+], ids=["dim-fraction", "dim-bool", "p-fraction", "p-bool", "prefactor-bool", "dense-bool",
+        "dim-negative", "dim-zero", "p-negative", "p-zero"])
 def test_decomposition_number_that_is_fractional_or_boolean_exits_1(field, value, named, tmp_path, capsys):
-    problem = tmp_path / "bad_number.json"
-    problem.write_text((GOLDEN / "problem.json").read_text().replace(field, value))
+    problem = tmp_path / "bad_number.json"  # field None: value is the whole file
+    problem.write_text(value if field is None else (GOLDEN / "problem.json").read_text().replace(field, value))
     assert main(["optimize", "--problem", str(problem), "--x0", "0.86,0.50"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

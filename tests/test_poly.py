@@ -23,12 +23,10 @@ from qdescent.poly import (
     classical_iterate,
     coefficients,
     decomposition_from_dict,
-    decomposition_to_dict,
     evaluate_objective,
     expand_coefficients,
     factor_from_dict,
     factor_matrices,
-    factor_to_dict,
     pauli_decompose,
 )
 from qdescent.sim import DensityMatrix, QState
@@ -54,6 +52,9 @@ def contract(tensor, x):
 def test_unitary_factor_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryFactor(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for empty in (np.zeros((0, 0)), []):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            UnitaryFactor(empty)
 
 
 def test_factor_dtype_is_real_exactly_when_every_entry_is_real():
@@ -77,18 +78,18 @@ def test_factor_pass_rows_are_real_for_real_dense_factors():
         x = random_point(rng, d.dim)
         b, ys = poly._factor_pass(d, x.coords)
         assert ys.dtype == np.float64 and b.dtype == np.float64
-        assert coefficients(d, x).direction.dtype == np.float64
+        cs = coefficients(d, x)
+        assert cs.images is ys and cs.b is b  # the kept pass, read as it is
+        assert (cs.c @ cs.images).dtype == np.float64
     _, ys = poly._factor_pass(benchmark(), np.array([0.6, 0.8]))
     assert ys.dtype == np.complex128
 
 
 def test_real_dense_factor_round_trips_as_float64():
     f = UnitaryFactor(random_symmetric_unitary(np.random.default_rng(17), 4))
-    d = factor_to_dict(f)
-    back = factor_from_dict(d, 4)
+    back = factor_from_dict({"dense": [[v, 0.0] for v in f.matrix.ravel().tolist()]}, 4)
     assert back.matrix.dtype == np.float64
-    assert np.array_equal(back.matrix, f.matrix)
-    assert factor_to_dict(back) == d
+    assert back.matrix.tobytes() == f.matrix.tobytes()
 
 
 def test_point_requires_unit_norm():
@@ -136,6 +137,9 @@ def test_decomposition_shape_validation():
         TensorDecomposition(dim=4, order_p=1, terms=[["X"]], prefactor=1.0)
     with pytest.raises(ValueError, match="share the decomposition dimension"):
         TensorDecomposition(dim=4, order_p=1, terms=[["XZ"], [UnitaryFactor(np.eye(2))]], prefactor=1.0)
+    for dim in (0, -1):  # refused before the width check, which would name the factors
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            TensorDecomposition(dim=dim, order_p=1, terms=[["X"]], prefactor=1.0)
 
 
 def test_expand_identity_single_factor():
@@ -182,23 +186,23 @@ def test_objective_benchmark_values():
 def test_coefficients_at_diagonal_point():
     cs = coefficients(benchmark(), Point.normalized([1.0, 1.0]))
     assert np.allclose(cs.b, [[-1.0, 1.0], [1.0, 0.0]], atol=1e-12)
-    assert np.allclose(cs.big_m, [-1.0, 0.0], atol=1e-12)
+    assert np.allclose(cs.b.prod(axis=1), [-1.0, 0.0], atol=1e-12)
     assert np.allclose(cs.c, [0.5, -0.5, 0.0, 0.5], atol=1e-12)
-    assert np.isclose(cs.total_weight, 2.5, atol=1e-12)
+    assert np.isclose(1.0 + np.abs(cs.c).sum(), 2.5, atol=1e-12)
 
 
 def test_coefficients_at_optimum():
     # b = ((-1, sqrt3/2), (sqrt3/2, -1/2)) with prefactor 1/2
     cs = coefficients(benchmark(), Point(np.array([0.5, SQ3 / 2])))
     assert np.allclose(cs.c, [SQ3 / 4, -0.5, -0.25, SQ3 / 4], atol=1e-12)
-    assert np.isclose(cs.total_weight, 1.75 + SQ3 / 2, atol=1e-12)
+    assert np.isclose(1.0 + np.abs(cs.c).sum(), 1.75 + SQ3 / 2, atol=1e-12)
 
 
 def test_coefficients_single_factor_empty_product():
     d = TensorDecomposition(dim=2, order_p=1, terms=[["Z"]], prefactor=0.7)
     cs = coefficients(d, Point(np.array([1.0, 0.0])))
     assert np.allclose(cs.c, [0.7])
-    assert np.isclose(cs.total_weight, 1.7)
+    assert np.isclose(1.0 + np.abs(cs.c).sum(), 1.7)
 
 
 def test_coefficient_product_law():
@@ -211,7 +215,7 @@ def test_coefficient_product_law():
             for j in range(d.order_p):
                 b = cs.b[a, j]
                 if abs(b) > 1e-12:
-                    assert abs(cs.c[a * d.order_p + j] * b - d.prefactor * cs.big_m[a]) <= 1e-10
+                    assert abs(cs.c[a * d.order_p + j] * b - d.prefactor * cs.b[a].prod()) <= 1e-10
 
 
 def test_build_d_optimum_is_eigenvector():
@@ -310,8 +314,10 @@ def test_json_round_trip_paulis_and_dense():
         terms=[["-I", dense], ["X", "Z"]],
         prefactor=0.5,
     )
-    assert decomposition_to_dict(d)["terms"][1] == [{"pauli": "X"}, {"pauli": "Z"}]
-    back = decomposition_from_dict(decomposition_to_dict(d))
+    back = decomposition_from_dict({
+        "dim": 2, "p": 2, "prefactor": 0.5,
+        "terms": [[{"pauli": "-I"}, {"dense": [[v, 0.0] for v in dense.matrix.ravel().tolist()]}],
+                  [{"pauli": "X"}, {"pauli": "Z"}]]})
     assert back.dim == d.dim and back.order_p == d.order_p and back.prefactor == d.prefactor
     assert back.terms[1] == ("X", "Z") and back.terms[0][0] == "-I"
     assert np.allclose(factor_matrices(back.factors, 2), factor_matrices(d.factors, 2), rtol=0, atol=1e-15)
@@ -420,7 +426,7 @@ def test_json_round_trip_multi_qubit_paulis():
     d = decomposition_from_dict({"dim": 8, "p": 2, "prefactor": -0.25,
                                  "terms": [[{"pauli": "XYY"}, {"pauli": "-ZIX"}]]})
     assert d.terms == (("XYY", "-ZIX"),) and d.factors.labels == ("XYY", "-ZIX")
-    assert decomposition_from_dict(decomposition_to_dict(d)) == d
+    assert d == TensorDecomposition(dim=8, order_p=2, terms=[["XYY", "-ZIX"]], prefactor=-0.25)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
@@ -493,8 +499,7 @@ def test_a_decomposition_parses_its_labels_once(monkeypatch):
 def test_mixed_decomposition_holds_each_label_as_the_dense_matrix_of_its_row():
     dense = UnitaryFactor(random_symmetric_unitary(np.random.default_rng(18), 4))
     d = TensorDecomposition(dim=4, order_p=2, terms=[["YY", dense], ["-XZ", "ZX"]], prefactor=-0.5)
-    assert d.terms == (("YY", dense), ("-XZ", "ZX"))  # kept as given, so the JSON keeps the labels
-    assert decomposition_to_dict(d)["terms"][1] == [{"pauli": "-XZ"}, {"pauli": "ZX"}]
+    assert d.terms == (("YY", dense), ("-XZ", "ZX"))  # kept as given
     assert all(isinstance(f, UnitaryFactor) for f in d.factors) and d.factors[1] is dense
     for m, label in ((0, "YY"), (2, "-XZ"), (3, "ZX")):
         assert np.array_equal(d.factors[m].matrix, kron_pauli(label).real), label
