@@ -283,10 +283,17 @@ _HANDLERS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # the parser is built on the first call, not at import, and reused: parse_args leaves it
+    # unchanged, and help reads the terminal width and sys.stdout when it prints
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -41,18 +41,22 @@ class RegisterLayout:
 
     @classmethod
     def for_problem(cls, flat_count: int, dim: int) -> "RegisterLayout":
-        t1 = max(0, math.ceil(math.log2(flat_count))) if flat_count > 1 else 0
-        n_work = max(0, math.ceil(math.log2(dim))) if dim > 1 else 0
-        return cls(t1=t1, n_work=n_work)
+        return cls(t1=_width(flat_count), n_work=_width(dim))
+
+
+def _width(count: int) -> int:
+    """Qubits that index count basis states."""
+    return math.ceil(math.log2(count)) if count > 1 else 0
 
 
 @dataclass(frozen=True)
 class PrepareSpec:
-    """The prepare stage: beta, the flag rotation v0, the select unitary's first column
-    (V = complete_from_first_column(column)), and the signs absorbed into the factors."""
+    """The prepare stage: beta, the first columns of the flag rotation v0 and of the select
+    unitary V (v0 = complete_from_first_column(v0_column), likewise V from column), and the
+    signs absorbed into the factors."""
 
     beta: float
-    v0: np.ndarray
+    v0_column: np.ndarray
     column: np.ndarray
     signs: np.ndarray
 
@@ -83,42 +87,54 @@ class IterationRecord:
     label: str
 
 
-def _reflector(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u = col / ||col|| and w = u + sign(u0) e0: H = I - 2 w w^T / (w.w) maps e0 onto
-    -sign(u0) * u (the sign keeps w away from cancellation)."""
+def _unit(col: np.ndarray) -> np.ndarray:
+    """col / ||col||: the first column of complete_from_first_column(col)."""
     u = np.asarray(col, dtype=float)
-    u = u / math.sqrt(u @ u)
-    w = u.copy()
-    w[0] += 1.0 if u[0] >= 0 else -1.0
-    return u, w
+    return u / math.sqrt(u @ u)
 
 
 def complete_from_first_column(col: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix whose first column is col / ||col||: the reflection H of
-    _reflector with its first column overwritten by u, which keeps the columns orthonormal."""
-    u, w = _reflector(col)
+    """Real orthogonal matrix whose first column is u = col / ||col||: the reflection
+    H = I - 2 w w^T / (w.w) with w = u + sign(u0) e0 (the sign keeps w away from
+    cancellation) maps e0 onto -sign(u0) * u, and its first column overwritten by u keeps
+    the columns orthonormal."""
+    u = _unit(col)
+    w = u.copy()
+    w[0] += 1.0 if u[0] >= 0 else -1.0
     out = np.eye(u.shape[0]) - (2.0 / (w @ w)) * np.outer(w, w)
     out[:, 0] = u
     return out
 
 
-def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
-    """v0, V's column, signs, and beta for the prepare stage of the weights c at step size eta."""
+def _check_eta(eta: float) -> None:
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
+
+
+def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
+    """v0's and V's columns, signs, and beta for the prepare stage of the weights c at step size eta."""
+    _check_eta(eta)
     c = np.asarray(c, dtype=float)
     weights = eta * np.abs(c)
     total = float(weights.sum())
     beta = 1.0 + total
-    a = 1.0 / math.sqrt(beta)
-    v0 = complete_from_first_column(np.array([a, math.sqrt((beta - 1.0) / beta)]))
-    column = np.zeros(2 ** RegisterLayout.for_problem(len(c), 1).t1)
+    v0_column = np.array([1.0 / math.sqrt(beta), math.sqrt((beta - 1.0) / beta)])
+    column = np.zeros(2 ** _width(len(c)))
     if total == 0.0:
         column[0] = 1.0  # V = I
     else:
         column[: len(c)] = np.sqrt(weights / total)
     signs = np.where(eta * c > 0, -1.0, 1.0)
-    return PrepareSpec(beta=beta, v0=v0, column=column, signs=signs)
+    return PrepareSpec(beta=beta, v0_column=v0_column, column=column, signs=signs)
+
+
+def _first_column_only(u: np.ndarray) -> np.ndarray:
+    """The square matrix with first column u and zeros past it: row 0 of its transpose times
+    a slice rounds as the completed unitary's does, since gemm forms each entry from its own
+    row and column only."""
+    out = np.zeros((u.shape[0], u.shape[0]))
+    out[:, 0] = u
+    return out
 
 
 def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
@@ -128,9 +144,12 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
     dtype.  Prepare leaves the flag=1 slice in the product state (V e0) (x) v0[1,0] x, so
     select turns its row m into sign_m V[m,0] v0[1,0] A_m x, formed from the images in that
     order; no factor is applied and no gate checked here.  Un-prepare forms only row 0, which
-    post-selection reads: with the dense V^T up to t1 = 2, whose rounding 3 golden outputs pin,
-    and else as u = V e0 times the slice (V is then the reflection H of _reflector, whose first
-    column is -u, a sign that prepare and un-prepare cancel).
+    post-selection reads.  Row 0 of V^T and of v0^T is the first column of V and of v0, the
+    PrepareSpec column normalized, so neither unitary is completed: up to t1 = 2 the slice
+    is multiplied by the transpose of a 2^t1 x 2^t1 matrix holding that column and zeros past
+    it, the completed V^T's product, whose rounding 3 golden outputs pin; from t1 = 3 the row
+    is the column, a contiguous array, times the slice.  The flag rotation is undone by the
+    same 2 x 2 product, which 4 golden outputs pin.
 
     Returns (post-selected working vector of len(x_vec), success probability).
     The weights c may come from a CoefficientSet or any other real linear
@@ -140,19 +159,18 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
     n, k = x_vec.shape[0], len(images)
     layout = RegisterLayout.for_problem(k, n)
     prep = build_prepare(c, eta)
+    flag_u, u = _unit(prep.v0_column), _unit(prep.column)
 
     state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=images.dtype)
-    state[0, 0, :n] = prep.v0[0, 0] * x_vec  # v0's flag=1 amplitude is scaled into the images
-    v = complete_from_first_column(prep.column) if layout.t1 <= 2 else None
-    u = _reflector(prep.column)[0] if v is None else v[:, 0]  # V's first column is u itself
+    state[0, 0, :n] = flag_u[0] * x_vec  # v0's flag=1 amplitude is scaled into the images
     select = state[1, :k, :n]
-    np.multiply(prep.v0[1, 0], images, out=select)
+    np.multiply(flag_u[1], images, out=select)
     select *= (prep.signs * u[:k])[:, None]
-    state[1, 0] = (v.T @ state[1])[0] if v is not None else u[:k] @ state[1, :k]
+    state[1, 0] = (_first_column_only(u).T @ state[1])[0] if layout.t1 <= 2 else u[:k] @ state[1, :k]
 
-    # after un-prepare only the kept row is read; it is row 0 of the dense v0^T product, whose
-    # rounding 4 golden outputs pin (two scalar products, or v0[:, 0] @ state[:, 0], move them)
-    kept = (prep.v0.T @ state[:, 0])[0]
+    # after un-prepare only the kept row is read; it is row 0 of the 2 x 2 v0^T product, whose
+    # rounding 4 golden outputs pin (two scalar products, or flag_u @ state[:, 0], move them)
+    kept = (_first_column_only(flag_u).T @ state[:, 0])[0]
     prob = float((np.abs(kept) ** 2).sum())
     if prep.beta * math.sqrt(prob) < 1e-14:
         raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
@@ -242,9 +260,11 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     if not 0 <= noise_eps <= 1:  # NaN fails too
         raise ValueError("noise strength must lie in [0, 1]")
     _check_mode(mode, shots, seed)
+    _check_eta(eta)
     records: list[IterationRecord] = []
     x = x0
     d = 2 ** RegisterLayout.for_problem(decomp.flat_count, decomp.dim).n_work
+    mixed = np.eye(d) / d if noise_eps > 0 else None  # I/d, which the noise blends in
     coeffs = poly.coefficients(decomp, x)
     for t in range(1, max_iters + 1):
         y, prob = run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
@@ -256,7 +276,7 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
             amps = np.zeros(d, dtype=complex)
             amps[: decomp.dim] = y
             rho = np.outer(amps, amps.conj())
-            noisy = (1.0 - noise_eps) * rho + noise_eps * (np.eye(d) / d)
+            noisy = (1.0 - noise_eps) * rho + noise_eps * mixed
             fid = sim._fidelity(rho, noisy)
             recovered = sim._dominant(noisy)[: decomp.dim]
             y = recovered / math.sqrt(recovered @ recovered)

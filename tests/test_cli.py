@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_applications
-from qdescent import experiment, sim
+from qdescent import cli, experiment, sim
 from qdescent.cli import main
 from qdescent.mds import distances
 from qdescent.experiment import benchmark_decomposition
@@ -341,6 +341,34 @@ def test_output_bytes_match_golden(name, capsys):
     assert captured.err == ""
 
 
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    # main builds its parser on the first call and keeps it: no call's output may depend on
+    # what ran before it in the process, parser state and factor-pass memos alike
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setenv("COLUMNS", "100")  # help wraps to the width read when it prints
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
+    golden = [(name, [inputs.get(arg, arg) for arg in case["argv"]]) for name, case in GOLDEN_CASES.items()]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    bad = run(["repro", "--case", "s3"])
+    assert bad[:2] == (1, "") and "error: argument --case: invalid choice: 's3'" in bad[2]
+    assert run(["repro"]) == (0, (GOLDEN / "repro.out").read_text(), "")
+    help_text = run(["repro", "--help"])
+    assert help_text[0] == 0 and help_text[1].startswith("usage: qdescent repro") and help_text[2] == ""
+    for name, argv in golden + golden[::-1]:
+        assert run(argv) == (GOLDEN_CASES[name]["exit"], (GOLDEN / f"{name}.out").read_text(), ""), name
+    assert run(["repro", "--case", "s3"]) == bad
+    assert run(["repro", "--help"]) == help_text
+    assert built == [1]
+
+
 @pytest.mark.parametrize("argv", [
     ["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--eta", "nan"],
     ["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--eta", "inf"],
@@ -463,8 +491,10 @@ def test_noisy_repro_builds_no_checked_state_and_one_factor_pass_per_point(monke
     (["mds", "--delta", "{square}", "--seed", "2", "--max-iters", "0"], "max_iters must be >= 1"),
     (["mds", "--delta", "{square}", "--seed", "2", "--max-iters", "-3"], "max_iters must be >= 1"),
     (["repro", "--shots", "10"], "unrecognized arguments: --shots 10"),
+    (["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--eta", "0"], "eta must be positive and finite"),
+    (["repro", "--eta", "-1"], "eta must be positive and finite"),
 ], ids=["repro-noise-negative", "repro-noise-nan", "optimize-noise-above-one", "mds-iters-zero",
-        "mds-iters-negative", "repro-shots"])
+        "mds-iters-negative", "repro-shots", "optimize-eta-zero", "repro-eta-negative"])
 def test_out_of_range_input_exits_1(argv, message, capsys):
     inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
     assert main([inputs.get(arg, arg) for arg in argv]) == 1

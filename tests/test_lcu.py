@@ -73,6 +73,7 @@ def reference_lcu_step(matrices, c, x_vec, eta):
     layout = RegisterLayout.for_problem(len(matrices), n)
     dim_work = 2**layout.n_work
     prep = build_prepare(c, eta)
+    v0 = complete_from_first_column(prep.v0_column)
     v = complete_from_first_column(prep.column)
     q = layout.total_qubits
     full = np.zeros(2**q, dtype=complex)
@@ -80,7 +81,7 @@ def reference_lcu_step(matrices, c, x_vec, eta):
     state = sim.QState(q, full)
     select = list(range(1, 1 + layout.t1))
     work = list(range(1 + layout.t1, q))
-    state = sim.apply_unitary(state, prep.v0, [0])
+    state = sim.apply_unitary(state, v0, [0])
     if layout.t1 > 0:
         state = sim.apply_controlled(state, v, [0], [1], select)
     for m, f in enumerate(matrices):
@@ -88,7 +89,7 @@ def reference_lcu_step(matrices, c, x_vec, eta):
         state = sim.apply_controlled(state, u, [0] + select, [1] + _bits(m, layout.t1), work)
     if layout.t1 > 0:
         state = sim.apply_controlled(state, v.T, [0], [1], select)
-    state = sim.apply_unitary(state, prep.v0.T, [0])
+    state = sim.apply_unitary(state, v0.T, [0])
     kept, prob = sim.postselect(state, [0] + select, [0] * (1 + layout.t1))
     vec = kept.amps.real[:n]
     return vec / np.linalg.norm(vec), prob
@@ -202,6 +203,14 @@ def test_optimize_rejects_non_finite_step_and_threshold(kwargs):
         optimize(benchmark(), Point.normalized([0.86, 0.50]), max_iters=20, **kwargs)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+def test_optimize_checks_eta_before_its_first_factor_pass(eta, monkeypatch):
+    applied = count_applications(monkeypatch)
+    with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+        optimize(benchmark(), Point.normalized([0.86, 0.50]), eta=eta)
+    assert applied == []
+
+
 def test_register_layout():
     assert RegisterLayout.for_problem(4, 2) == RegisterLayout(t1=2, n_work=1)
     assert RegisterLayout.for_problem(1, 2) == RegisterLayout(t1=0, n_work=1)
@@ -226,9 +235,10 @@ def test_build_prepare_benchmark_values():
     d = benchmark()
     x = Point.normalized([1.0, 1.0])
     prep = build_prepare(coefficients(d, x).c, eta=1.0)
+    v0 = complete_from_first_column(prep.v0_column)
     v = complete_from_first_column(prep.column)
     assert np.isclose(prep.beta, 2.5)
-    assert np.allclose(prep.v0[:, 0], [1 / np.sqrt(2.5), np.sqrt(1.5 / 2.5)])
+    assert np.allclose(v0[:, 0], [1 / np.sqrt(2.5), np.sqrt(1.5 / 2.5)])
     root = np.sqrt(1.0 / 3.0)
     # c_2 is a rounding-level 1e-17, so its slot holds sqrt(eta*|c_2|/total) ~ 3e-9
     assert np.allclose(v[:, 0], [root, root, 0.0, root], atol=1e-8)
@@ -236,7 +246,7 @@ def test_build_prepare_benchmark_values():
     assert prep.signs[1] == 1.0
     # rows/cols orthonormal
     assert np.allclose(v @ v.T, np.eye(4), atol=1e-12)
-    assert np.allclose(prep.v0 @ prep.v0.T, np.eye(2), atol=1e-12)
+    assert np.allclose(v0 @ v0.T, np.eye(2), atol=1e-12)
 
 
 def test_prepare_state_amplitudes():
@@ -247,7 +257,7 @@ def test_prepare_state_amplitudes():
     eta = 0.7
     prep = build_prepare(coefficients(d, x).c, eta)
     state = sim.QState.zero(3)
-    state = sim.apply_unitary(state, prep.v0, [0])
+    state = sim.apply_unitary(state, complete_from_first_column(prep.v0_column), [0])
     state = sim.apply_controlled(state, complete_from_first_column(prep.column), [0], [1], [1, 2])
     c = coefficients(d, x).c
     assert np.isclose(abs(state.amps[0]), 1 / np.sqrt(prep.beta), atol=1e-12)

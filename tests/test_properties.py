@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
 from qdescent import lcu, sim
-from qdescent.errors import DegenerateStepError, PurificationError
+from qdescent.errors import DegenerateStepError, PostselectionError, PurificationError
 from qdescent.lcu import RegisterLayout, estimate_b, optimize, run_iteration
 from qdescent.mds import Configuration, Dissimilarities, Weights, distances, lcu_column_demo, mds_optimize, stress
 from qdescent import poly
@@ -170,6 +170,74 @@ def test_circuit_matches_oracle_and_success_probability_law(problem):
     assert np.max(np.abs(point - oracle.coords)) <= 1e-10
     beta = 1.0 + eta * float(np.sum(np.abs(coefficients(decomp, x).c)))
     assert abs(outcome.success_prob - (step_norm / beta) ** 2) <= 1e-12
+
+
+def completed_lcu_step(images, c, x_vec, eta):
+    """run_lcu_step with its prepare unitaries completed: v0 and, up to t1 = 2, V are whole
+    complete_from_first_column matrices, whose transposes un-prepare multiplies."""
+    n, k = len(x_vec), len(images)
+    layout = RegisterLayout.for_problem(k, n)
+    prep = lcu.build_prepare(c, eta)
+    v0, v = lcu.complete_from_first_column(prep.v0_column), lcu.complete_from_first_column(prep.column)
+    u = v[:, 0].copy()  # contiguous, as the dot past t1 = 2 rounds by its operands' strides
+    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=images.dtype)
+    state[0, 0, :n] = v0[0, 0] * x_vec
+    select = state[1, :k, :n]
+    np.multiply(v0[1, 0], images, out=select)
+    select *= (prep.signs * u[:k])[:, None]
+    state[1, 0] = (v.T @ state[1])[0] if layout.t1 <= 2 else u[:k] @ state[1, :k]
+    kept = (v0.T @ state[:, 0])[0]
+    prob = float((np.abs(kept) ** 2).sum())
+    vec = np.ascontiguousarray((kept / np.sqrt(prob)).real[:n])
+    return vec / math.sqrt(vec @ vec), min(prob, 1.0)
+
+
+@st.composite
+def select_widths(draw, t1, pauli):
+    """A decomposition of K*p factors for select width t1, real dense reflections or one
+    complex Pauli table, with a point and a step."""
+    k = draw(st.integers(2 ** (t1 - 1) + 1, 2**t1)) if t1 else 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if pauli:
+        q = draw(st.integers(1, 3))
+        body = st.text(alphabet="IXYZ", min_size=q, max_size=q).filter(lambda b: b.count("Y") % 2 == 0)
+        terms = [[draw(st.sampled_from(["", "-"])) + draw(body)] for _ in range(k)]
+        n = 2**q
+    else:
+        n = draw(st.sampled_from([2, 3, 4, 8]))
+        terms = [[UnitaryFactor(random_symmetric_unitary(rng, n))] for _ in range(k)]
+    decomp = TensorDecomposition(dim=n, order_p=1, terms=terms,
+                                 prefactor=draw(st.floats(0.3, 1.5)) * draw(st.sampled_from([-1.0, 1.0])))
+    return decomp, random_point(rng, n), draw(st.floats(0.05, 2.0))
+
+
+@pytest.mark.parametrize("pauli", [False, True], ids=["dense", "pauli"])
+@pytest.mark.parametrize("t1", [0, 1, 2, 3])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_the_first_column_step_is_the_completed_step_bit_for_bit(t1, pauli, data):
+    # post-selection reads row 0 of V^T and v0^T, which is their first column: the step's
+    # products, with zeros past that column, round as the completed matrices did
+    decomp, x, eta = data.draw(select_widths(t1, pauli))
+    assert RegisterLayout.for_problem(decomp.flat_count, decomp.dim).t1 == t1
+    coeffs = coefficients(decomp, x)
+    try:
+        vec, prob = lcu.run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
+    except DegenerateStepError:
+        assume(False)
+    want, want_prob = completed_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
+    assert vec.tobytes() == want.tobytes()
+    assert np.float64(prob).tobytes() == np.float64(want_prob).tobytes()
+    completed = []
+    with pytest.MonkeyPatch.context() as mp:
+        complete = lcu.complete_from_first_column
+        mp.setattr(lcu, "complete_from_first_column", lambda col: completed.append(col) or complete(col))
+        for kwargs in ({}, {"mode": "sampled", "shots": 100, "seed": 1, "noise_eps": 0.1}):
+            try:
+                optimize(decomp, x, eta=eta, max_iters=3, **kwargs)
+            except (DegenerateStepError, PostselectionError, PurificationError):
+                pass  # a later point may stop the run; the count holds up to there
+    assert completed == []
 
 
 @given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**32 - 1))
