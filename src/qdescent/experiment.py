@@ -86,6 +86,6 @@ def overlap_table_csv(rows_by_case: dict[str, list[lcu.IterationRecord]]) -> str
     for case in sorted(rows_by_case):
         for r in rows_by_case[case]:
             sp = "" if r.success_prob is None else repr(float(r.success_prob))
-            x1, x2 = (repr(float(v)) for v in r.point.coords)
+            x1, x2 = map(repr, r.point.coords.tolist())
             lines.append(f"{r.iteration},{case},{x1},{x2},{repr(float(r.f_value))},{repr(float(r.overlap))},{sp}")
     return "\n".join(lines) + "\n"

@@ -176,7 +176,7 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
         raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
     if prob <= 1e-14:
         raise PostselectionError(f"all-zero ancilla outcome has probability {prob:.3e}")
-    amps = kept / np.sqrt(prob)
+    amps = kept / math.sqrt(prob)
     prob = min(prob, 1.0)  # rounding can leave the subspace weight a few ulp above 1
     if np.abs(amps.imag).max() > 1e-10:
         raise ValueError("post-selected state is not real; factors must be real-valued")

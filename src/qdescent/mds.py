@@ -268,7 +268,7 @@ def lcu_column_demo(delta, w, x) -> ColumnDemoResult:
         raise ValueError("first column has zero norm")
     unit = col / norm
     table = PauliStrings.from_digits(digits)
-    images = apply_factors(table, np.broadcast_to(unit, (len(weights), n)))
+    images = apply_factors(table, unit[None].repeat(len(weights), 0))
     vec, prob = lcu.run_lcu_step(images, weights, unit, _DEMO_ETA)
     classical = unit - _DEMO_ETA * dmat @ unit
     classical = classical / np.linalg.norm(classical)

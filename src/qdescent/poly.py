@@ -127,7 +127,7 @@ def apply_factors(factors: Factors, rows: np.ndarray) -> np.ndarray:
 
 def factor_matrices(factors: Factors, n: int) -> np.ndarray:
     """The (K, n, n) dense matrices of K factors on dimension n: column j is apply_factors on e_j."""
-    return np.stack([apply_factors(factors, np.broadcast_to(e, (len(factors), n))) for e in np.eye(n)], axis=2)
+    return np.stack([apply_factors(factors, e[None].repeat(len(factors), 0)) for e in np.eye(n)], axis=2)
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ class Point:
         c = np.array(self.coords, dtype=float)
         if c.ndim != 1:
             raise ValueError("point must be a 1-D real vector")
-        if not abs(np.linalg.norm(c) - 1.0) <= 1e-12:  # NaN fails too
+        if not abs(math.sqrt(c @ c) - 1.0) <= 1e-12:  # NaN fails too; np.linalg.norm's formula
             raise ValueError("point must be finite with unit norm within 1e-12")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
@@ -271,11 +271,13 @@ def _factor_pass(decomp: TensorDecomposition, v: np.ndarray) -> tuple[np.ndarray
     key = v.tobytes()
     if decomp._memo[0] == key:
         return decomp._memo[1:]
-    ys = apply_factors(decomp.factors, np.broadcast_to(v, (decomp.flat_count, decomp.dim)))
+    ys = apply_factors(decomp.factors, v[None].repeat(decomp.flat_count, 0))
     b = np.empty(len(ys))
-    # one dot per row: a stacked ys @ v rounds differently, and b sets the output bytes
+    # one dot per row: a stacked ys @ v rounds differently, and b sets the output bytes; x is cast
+    # to the rows' dtype once, the copy matmul would make for each row
+    vx = v.astype(ys.dtype, copy=False)
     for m, y in enumerate(ys):
-        val = v @ y
+        val = vx @ y
         if abs(val.imag) > 1e-12:
             raise ValueError("quadratic form has a non-negligible imaginary part")
         b[m] = val.real
@@ -317,12 +319,12 @@ def coefficients(decomp: TensorDecomposition, x) -> CoefficientSet:
     b, ys = _factor_pass(decomp, v)
     k, p = decomp.num_terms, decomp.order_p
     c = np.empty(k * p)
-    for a in range(k):
+    for a, row in enumerate(b.tolist()):
         for j in range(p):
             prod = decomp.prefactor
             for i in range(p):
                 if i != j:
-                    prod *= b[a, i]
+                    prod *= row[i]
             c[a * p + j] = prod
     return CoefficientSet(b=b, c=c, f_value=_objective_from_b(decomp, b), images=ys)
 

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import settings
 
-from qdescent import poly
+from qdescent import experiment, poly
 from qdescent.poly import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Point, TensorDecomposition, UnitaryFactor
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
@@ -52,7 +52,10 @@ def kron_pauli(label):
 
 
 def count_applications(monkeypatch):
-    """Patch poly.apply_factors to log the row count of every call; returns the log."""
+    """Patch poly.apply_factors to log the row count of every call; returns the log.  The experiment's
+    DECOMP is swapped for a fresh one, whose factor-pass memo no earlier run has filled, so a count
+    does not depend on which tests ran before it."""
+    monkeypatch.setattr(experiment, "DECOMP", experiment.benchmark_decomposition())
     applied = []
     apply_factors = poly.apply_factors
     monkeypatch.setattr(poly, "apply_factors", lambda f, rows: applied.append(len(rows)) or apply_factors(f, rows))

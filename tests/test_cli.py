@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import count_applications
-from qdescent import cli, experiment, sim
+from qdescent import cli, sim
 from qdescent.cli import main
 from qdescent.mds import distances
-from qdescent.experiment import benchmark_decomposition
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -473,7 +472,6 @@ def test_noisy_repro_builds_no_checked_state_and_one_factor_pass_per_point(monke
             built[cls] += 1
             check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    monkeypatch.setattr(experiment, "DECOMP", benchmark_decomposition())  # no factor pass kept yet
     applied = count_applications(monkeypatch)
     assert main(["repro", "--case", "s1", "--mode", "sampled", "--noise", "0.05", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -329,3 +329,75 @@ def test_method_reductions_and_dot_norm_are_numpys_wrappers_bit_for_bit(v, cols)
         assert same(math.sqrt(v @ v), np.linalg.norm(v))
         assert same(v.sum(), np.sum(v)) and same(v.max(), np.max(v))
         assert same(b.prod(axis=1), np.prod(b, axis=1))
+
+
+@st.composite
+def density_pairs(draw):
+    """Two density matrices of one dimension d, each pure, depolarized or mixed."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def state(kind):
+        if kind == "mixed":
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            m = g @ g.conj().T
+            return m / np.trace(m).real
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+        return pure if kind == "pure" else sim.depolarize(sim.DensityMatrix(d, pure), rng.uniform()).entries
+
+    kinds = st.sampled_from(["pure", "depolarized", "mixed"])
+    return sim.DensityMatrix(d, state(draw(kinds))), sim.DensityMatrix(d, state(draw(kinds)))
+
+
+@given(density_pairs())
+def test_fidelity_is_the_trace_form(pair):
+    # for Hermitian a and b, Re vdot(a, b) is tr(ab); both forms round each sum to a few ulp of 1,
+    # so a fidelity near 0 (nearly orthogonal pure states) is compared to that floor
+    a, b = (rho.entries for rho in pair)
+    want = np.trace(a @ b).real / np.sqrt(np.trace(a @ a).real * np.trace(b @ b).real)
+    assert sim.fidelity(*pair) == sim._fidelity(a, b)
+    assert math.isclose(sim._fidelity(a, b), want, rel_tol=1e-14, abs_tol=1e-15)
+
+
+def random_hermitian_unitary(rng, n):
+    """A random complex Hermitian unitary, whose quadratic form on a real vector is real."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * rng.choice([-1.0, 1.0], size=n)) @ q.conj().T
+
+
+@st.composite
+def factor_pass_problems(draw):
+    """A decomposition of dense real, dense complex, Pauli or mixed factors (dense dims need not be
+    powers of two), and a point."""
+    kind = draw(st.sampled_from(["real", "complex", "pauli", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, p, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 3, 5, 6, 8])) if kind in ("real", "complex") else 2**q
+    label = st.text(alphabet="IXYZ", min_size=q, max_size=q).filter(lambda b: b.count("Y") % 2 == 0)
+
+    def factor():
+        if kind == "pauli" or kind == "mixed" and draw(st.booleans()):
+            return draw(st.sampled_from(["", "-"])) + draw(label)
+        hermitian = kind == "complex" or kind == "mixed" and draw(st.booleans())
+        return UnitaryFactor((random_hermitian_unitary if hermitian else random_symmetric_unitary)(rng, n))
+
+    terms = [[factor() for _ in range(p)] for _ in range(k)]
+    prefactor = draw(st.floats(0.3, 1.5)) * draw(st.sampled_from([-1.0, 1.0]))
+    return TensorDecomposition(dim=n, order_p=p, terms=terms, prefactor=prefactor), random_point(rng, n)
+
+
+@given(factor_pass_problems())
+def test_the_factor_pass_is_the_broadcast_formula_bit_for_bit(problem):
+    # the pass forms x's K rows by repeat and casts x once; the broadcast rows and one v @ y per
+    # row must give the same bytes, and c is each term's other quotients times s, in order
+    decomp, x = problem
+    v, (k, p), n = x.coords, (decomp.num_terms, decomp.order_p), decomp.dim
+    ys = apply_factors(decomp.factors, np.broadcast_to(v, (k * p, n)))
+    b = np.array([(v @ y).real for y in ys]).reshape(k, p)
+    c = [math.prod((b[a, i] for i in range(p) if i != j), start=decomp.prefactor) for a in range(k) for j in range(p)]
+    got = coefficients(decomp, x)
+    assert got.images.dtype == ys.dtype and got.images.tobytes() == ys.tobytes()
+    assert got.b.tobytes() == b.tobytes() and got.c.tobytes() == np.array(c).tobytes()
+    columns = [apply_factors(decomp.factors, np.broadcast_to(e, (k * p, n))) for e in np.eye(n)]
+    assert factor_matrices(decomp.factors, n).tobytes() == np.stack(columns, axis=2).tobytes()
