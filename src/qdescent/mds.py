@@ -17,6 +17,7 @@ same checks and messages.  The work inside runs on the checked arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,8 @@ _DEMO_ETA = 0.05  # the column demo's step
 
 def _square_checked(m, name: str) -> np.ndarray:
     a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"{name} must be a non-empty square matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} entries must be finite")
     if np.max(np.abs(a - a.T)) > 1e-12:
@@ -107,8 +108,8 @@ def distances(x) -> np.ndarray:
     return _distances(x.coords if isinstance(x, Configuration) else Configuration(x).coords)
 
 
-def _distances(pts: np.ndarray, diff: np.ndarray | None = None) -> np.ndarray:
-    diff = np.subtract(pts.T[:, :, None], pts.T[:, None, :], out=diff)
+def _distances(pts: np.ndarray) -> np.ndarray:
+    diff = pts.T[:, :, None] - pts.T[:, None, :]
     np.square(diff, out=diff)
     d = diff[0]
     for sq in diff[1:]:
@@ -133,15 +134,8 @@ def stress(delta, w, x) -> StressBreakdown:
     const = 0.5 * float(np.sum(wt * dl**2))
     g = 0.5 * float(np.sum(wt * dl * d))
     h2 = 0.5 * float(np.sum(wt * d**2))
-    return StressBreakdown(total=_stress_total(dl, wt, d), const=const, g=g, h_squared=h2)
-
-
-def _stress_total(dl: np.ndarray, wt: np.ndarray, d: np.ndarray, resid: np.ndarray | None = None) -> float:
-    """½ΣΣ w (d - δ)², from one residual (in the scratch resid when given) squared and weighted in place."""
-    resid = np.subtract(d, dl, out=resid)
-    resid *= resid
-    resid *= wt
-    return 0.5 * float(resid.sum())
+    total = 0.5 * float(np.sum((d - dl) ** 2 * wt))  # mds_optimize's residual order
+    return StressBreakdown(total=total, const=const, g=g, h_squared=h2)
 
 
 def _laplacian(coef: np.ndarray) -> np.ndarray:
@@ -192,13 +186,16 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     uniform weights λ_max(C) = n, so the default 0.05 loses that guarantee
     from 40 points on.
 
-    Each step turns one scratch matrix into η(C - B(X)) in place: 1/d where
-    d > 0 (else 0), times w·δ, plus C off the diagonal, C_ii minus the row sum
-    on it, times η.  That is the arithmetic of ``eta * descent_operator`` in
-    the same order, so the trace equals the public operators' bit for bit;
-    the stress comes from one residual (d - δ)²·w, all in scratch allocated once
-    per call.  From 8 columns on, ``distances`` may differ from a broadcast sum
-    in the last place, and the trace with it.
+    Each step turns one scratch matrix into η(C - B(X)) in place: 1/d with 0
+    on the diagonal, times w·δ, plus C off the diagonal, C_ii minus the row
+    sum on it, times η: the arithmetic of ``eta * descent_operator`` (1/d
+    where d > 0, else 0) in the same order, unless two points coincide.
+    Their 1/d = inf makes the new stress NaN, and a step whose stress is not
+    finite is redone from the previous X with the masked 1/d, so the trace
+    equals the public operators' bit for bit, diverging runs included.  The
+    stress is one residual (d - δ)²·w, in scratch allocated once per call.
+    From 8 columns on, ``distances`` may differ from a broadcast sum in the
+    last place, and the trace with it.
     """
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
@@ -209,26 +206,57 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     dl, wt, x = _same_points(delta, w, x0)
     c, wdl = _laplacian(wt), wt * dl
     c_diag = c.diagonal()
-    step, resid, diff = np.empty_like(c), np.empty_like(c), np.empty((x.shape[1],) + c.shape)
-    step_diag = step.reshape(-1)[:: len(step) + 1]  # a writable view
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = _distances(x, diff)  # diff[0], summed in the (m, n, n) scratch, so each step rewrites d
-        trace = [(x.copy(), _stress_total(dl, wt, d, resid))]
-        for _ in range(max_iters):
+    step, resid, diff, xt = np.empty_like(c), np.empty_like(c), np.empty((x.shape[1],) + c.shape), np.empty(x.T.shape)
+    left, right, d, step_diag = xt[:, :, None], xt[:, None, :], diff[0], step.reshape(-1)[:: len(step) + 1]  # views
+
+    # a step is some 20 ufunc calls on n x n arrays, so lookups and keyword parsing show: local names, out positional
+    add, sub, mul, square, reduce = np.add, np.subtract, np.multiply, np.square, np.add.reduce
+
+    def stress_at(x: np.ndarray) -> float:  # x's distances into d, its stress returned
+        xt[...] = x.T
+        square(sub(left, right, diff), diff)
+        for sq in diff[1:]:
+            add(d, sq, d)
+        np.sqrt(d, d)
+        square(sub(d, dl, resid), resid)
+        return 0.5 * float(reduce(mul(resid, wt, resid), None))
+
+    def stepped(x: np.ndarray, masked: bool) -> np.ndarray:  # x - η(C - B(X))x, B(X) from d
+        if masked:
             step.fill(0.0)
             np.divide(1.0, d, out=step, where=d > 0)
-            step *= wdl
-            rowsum = step.sum(axis=1)
-            step += c
-            np.subtract(c_diag, rowsum, out=step_diag)
-            step *= eta
-            x = x - np.dot(step, x)
-            _distances(x, diff)  # d now gives this step's stress and the next step's B(X)
-            value = _stress_total(dl, wt, d, resid)
+        else:
+            np.reciprocal(d, step)
+            step_diag.fill(0.0)  # the reference's k_ii = 0, so w_ii·δ_ii·k_ii rounds alike
+        rowsum = reduce(mul(step, wdl, step), 1)
+        add(step, c, step)
+        sub(c_diag, rowsum, step_diag)
+        new = np.dot(mul(step, eta, step), x)
+        return sub(x, new, new)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        trace = [(x.copy(), stress_at(x))]
+        for _ in range(max_iters):
+            new = stepped(x, False)
+            value = stress_at(new)
+            if not math.isfinite(value):  # also every step where points coincide: redo it with the mask
+                stress_at(x)  # the previous x's distances back into d
+                new = stepped(x, True)
+                value = stress_at(new)
+            x = new
             trace.append((x, value))
             if not trace[-2][1] - value >= tol:  # a NaN stress stops the loop too
                 break
     return trace
+
+
+@functools.lru_cache(maxsize=4)
+def _pauli_table(shape: tuple[int, int], digits: bytes) -> PauliStrings:
+    """PauliStrings.from_digits of _pauli_digits' intp digits, read-only and kept: MDS instances of one
+    size mostly keep one string set."""
+    table = PauliStrings.from_digits(np.frombuffer(digits, dtype=np.intp).reshape(shape))
+    table.cols.flags.writeable = table.phase.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -254,7 +282,7 @@ def lcu_column_demo(delta, w, x) -> ColumnDemoResult:
     dl, wt, pts = _same_points(delta, w, x)
     n = pts.shape[0]
     if n < 2 or n & (n - 1) != 0:
-        raise ValueError("column demo needs a power-of-two point count")
+        raise ValueError("column demo needs a power-of-two point count of at least 2")
     # a real symmetric D spans at most the n(n+1)/2 real symmetric Pauli
     # strings; a layout past the qubit cap fails before any string is built
     lcu.RegisterLayout.for_problem(n * (n + 1) // 2, n)
@@ -267,7 +295,7 @@ def lcu_column_demo(delta, w, x) -> ColumnDemoResult:
     if norm < 1e-12:
         raise ValueError("first column has zero norm")
     unit = col / norm
-    table = PauliStrings.from_digits(digits)
+    table = _pauli_table(digits.shape, digits.tobytes())
     images = apply_factors(table, unit[None].repeat(len(weights), 0))
     vec, prob = lcu.run_lcu_step(images, weights, unit, _DEMO_ETA)
     classical = unit - _DEMO_ETA * dmat @ unit

@@ -1,8 +1,10 @@
+import re
 import time
 
 import numpy as np
 import pytest
 
+from qdescent import mds
 from qdescent.errors import CapacityError
 from qdescent.lcu import RegisterLayout
 from qdescent.mds import (
@@ -18,7 +20,7 @@ from qdescent.mds import (
     mds_optimize,
     stress,
 )
-from qdescent.poly import pauli_decompose
+from qdescent.poly import PauliStrings, _pauli_digits, pauli_decompose
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2]])
@@ -250,33 +252,56 @@ def reference_descent(delta, w, x0, eta=0.05, max_iters=200, tol=1e-9):
     return trace
 
 
-@pytest.mark.parametrize("n, uniform, width, coincident", [
-    (4, True, 2, False), (16, True, 2, False), (33, True, 2, False), (16, False, 2, False),
-    (16, True, 1, False), (16, False, 3, False), (16, False, 2, True),
+@pytest.mark.parametrize("n, uniform, width, case", [
+    (4, True, 2, ""), (16, True, 2, ""), (33, True, 2, ""), (16, False, 2, ""), (16, True, 1, ""),
+    (16, False, 3, ""), (16, False, 2, "coincident"), (16, False, 2, "diagonal"), (16, True, 2, "diagonal"),
+    (16, False, 2, "apart"), (16, True, 2, "overflow"), (40, True, 2, "diverge"), (40, True, 2, "diverge-inf"),
+    (40, True, 2, "diverge-nan"), *((16, False, width, "") for width in (1, 4, 5, 6, 7)),
 ], ids=["4-True", "16-True", "33-True", "16-False", "16-True-width1", "16-False-width3",
-        "16-False-coincident"])
-def test_optimize_matches_public_operator_step(n, uniform, width, coincident):
+        "16-False-coincident", "16-False-diagonal", "16-True-diagonal", "16-False-apart", "16-True-overflow",
+        "40-True-diverge", "40-True-diverge-inf", "40-True-diverge-nan",
+        *(f"16-False-width{width}" for width in (1, 4, 5, 6, 7))])
+def test_optimize_matches_public_operator_step(n, uniform, width, case):
     rng = np.random.default_rng(100 + n + uniform + 10 * (width - 2))
-    delta = Dissimilarities(distances(rng.standard_normal((n, 2))))
+    dl = distances(rng.standard_normal((n, 2)))
     if uniform:
         w = Weights.uniform(n).w
     else:
         a = rng.uniform(0.1, 0.6, (n, n))
         w = (a + a.T) * (1.0 - np.eye(n))
     x0 = rng.standard_normal((n, width))
-    if coincident:
+    eta = 3.0 if case.startswith("diverge") else 0.05  # 3 > 2/λ_max(C) = 2/40: the stress rises
+    if case == "coincident":
         # rows 0 and 1 start together and weigh only on each other, so C - B(X) moves
         # neither: d_01 = 0 with w δ_01 > 0 at every step, where an unguarded 1/d gives NaN
         w[:2, 2:] = w[2:, :2] = 0.0
         x0[1] = x0[0]
-    w = Weights(w)
-    expected = reference_descent(delta, w, x0)
-    trace = mds_optimize(delta, w, x0)
-    assert len(trace) == len(expected) > 2
+    elif case == "diagonal":  # the most the checks allow; k_ii = 0 drops them from B(X)
+        np.fill_diagonal(w, 1e-13)
+        np.fill_diagonal(dl, 1e-13)
+    elif case == "apart":  # d_01 underflows to 0 although the rows differ
+        x0[1] = x0[0]
+        x0[0, 0], x0[1, 0] = 0.0, 5e-324
+    elif case == "overflow":  # the start's stress is inf, and the descent goes on from it
+        x0 *= 1e153
+    elif case == "diverge-inf":  # the first step's distances overflow: stress inf
+        x0 *= 1e152
+    elif case == "diverge-nan":  # stress inf at the start, and coordinates inf after one step: stress NaN
+        x0 *= 1e306
+    delta, w = Dissimilarities(dl), Weights(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference's overflows are the cases'
+        expected = reference_descent(delta, w, x0, eta)
+    trace = mds_optimize(delta, w, x0, eta)
+    if case.startswith("diverge"):  # a stress that rises or is not finite stops mds_optimize
+        assert len(trace) == 2 and not trace[1][1] <= trace[0][1]
+        assert len(expected) == (201 if case == "diverge-nan" else 2)  # the reference steps on past a NaN
+    else:
+        assert len(trace) == len(expected) > 2
+    assert case != "overflow" or trace[0][1] == np.inf
     for (x, value), (x_ref, value_ref) in zip(trace, expected):
-        assert (x == x_ref).all()
-        assert value == value_ref
-        assert not coincident or (x[0] == x[1]).all()
+        assert np.array_equal(x, x_ref, equal_nan=True)
+        assert np.array_equal(value, value_ref, equal_nan=True)
+        assert case != "coincident" or (x[0] == x[1]).all()
 
 
 @pytest.mark.parametrize("width", range(1, 10))
@@ -353,8 +378,82 @@ def test_column_demo_past_qubit_cap_fails_fast():
 
 
 def test_column_demo_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="power-of-two point count"):
         lcu_column_demo(distances(TRIANGLE), Weights.uniform(3), TRIANGLE)
+    with pytest.raises(ValueError, match="power-of-two point count of at least 2"):
+        lcu_column_demo(np.zeros((1, 1)), np.zeros((1, 1)), [[1.0]])
+
+
+def demo_instance(seed: int, n: int = 16):
+    rng = np.random.default_rng(seed)
+    return Dissimilarities(distances(rng.standard_normal((n, 2)))), Weights.uniform(n), rng.standard_normal((n, 2))
+
+
+def test_column_demo_shares_one_read_only_table_per_string_set():
+    mds._pauli_table.cache_clear()
+    digits = [_pauli_digits(d_matrix(*demo_instance(seed)))[0] for seed in (1, 2)]
+    assert digits[0].tobytes() == digits[1].tobytes()
+    for seed in (1, 2):
+        lcu_column_demo(*demo_instance(seed))
+    assert mds._pauli_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+    table = mds._pauli_table(digits[0].shape, digits[0].tobytes())
+    assert mds._pauli_table(digits[1].shape, digits[1].tobytes()) is table
+    fresh = PauliStrings.from_digits(digits[0])
+    assert table.labels == fresh.labels and np.array_equal(table.cols, fresh.cols)
+    assert table.phase.tobytes() == fresh.phase.tobytes()
+    for array in (table.cols, table.phase):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
+def test_pauli_table_memo_keys_on_shape_and_stays_bounded():
+    mds._pauli_table.cache_clear()
+    wide = np.array([[0, 1, 2, 3], [3, 2, 1, 0]], dtype=np.intp)
+    tall = wide.reshape(4, 2)
+    assert wide.tobytes() == tall.tobytes()
+    assert [len(mds._pauli_table(d.shape, d.tobytes())) for d in (wide, tall)] == [2, 4]
+    bound = mds._pauli_table.cache_info().maxsize
+    for q in range(1, bound + 4):
+        digits = np.ones((1, q), dtype=np.intp)
+        newest = mds._pauli_table(digits.shape, digits.tobytes())
+        assert newest.labels == ("X" * q,)
+        assert mds._pauli_table.cache_info().currsize <= bound
+        assert mds._pauli_table(digits.shape, digits.tobytes()) is newest
+
+
+def test_column_demo_gives_the_same_bytes_with_or_without_its_memo():
+    delta, w, x = demo_instance(3)
+    warm = lcu_column_demo(delta, w, x), lcu_column_demo(delta, w, x)
+    cold = []
+    for _ in range(2):
+        mds._pauli_table.cache_clear()
+        cold.append(lcu_column_demo(delta, w, x))
+    for res in (*warm, *cold):
+        assert res.quantum_point.tobytes() == cold[0].quantum_point.tobytes()
+        assert res.success_prob == cold[0].success_prob and res.labels == cold[0].labels
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("entry", [mds_optimize, stress, lcu_column_demo, b_matrix, d_matrix, descent_operator],
+                         ids=lambda f: f.__name__)
+def test_empty_pair_matrices_are_refused_before_any_reduction(entry):
+    with pytest.raises(ValueError, match="^delta must be a non-empty square matrix$"):
+        entry(EMPTY, EMPTY, np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: c_matrix(EMPTY), "weights must be a non-empty square matrix"),
+    (lambda: Weights(EMPTY), "weights must be a non-empty square matrix"),
+    (lambda: Weights.uniform(0), "weights must be a non-empty square matrix"),
+    (lambda: Dissimilarities(EMPTY), "delta must be a non-empty square matrix"),
+    (lambda: distances(EMPTY), "configuration needs at least one column (embedding dimension)"),
+    (lambda: Configuration(EMPTY), "configuration needs at least one column (embedding dimension)"),
+], ids=["c_matrix", "Weights", "Weights.uniform", "Dissimilarities", "distances", "Configuration"])
+def test_empty_inputs_fail_with_a_named_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
