@@ -126,7 +126,7 @@ def cmd_optimize(args) -> int:
     x0 = _parse_point(args.x0, decomp.dim)
     records = lcu.optimize(
         decomp, x0, eta=args.eta, threshold=args.threshold, max_iters=args.max_iters,
-        mode=args.mode, shots=args.shots, seed=args.seed, noise_eps=args.noise,
+        shots=None if args.mode == "exact" else args.shots, seed=args.seed, noise_eps=args.noise,
     )
     converged = records[-1].label == "converged"
     csv_text = "\n".join(_trajectory_rows(decomp, records)) + "\n"
@@ -151,12 +151,12 @@ def cmd_optimize(args) -> int:
 
 def cmd_repro(args) -> int:
     cases = ["s1", "s2"] if args.case == "both" else [args.case]
-    cfg = experiment.ExperimentConfig(eta=args.eta, threshold=args.threshold, max_iters=args.max_iters)
     rows_by_case = {}
     for idx, case in enumerate(cases):
         seed = None if args.seed is None else args.seed + idx
-        rows = experiment.run_case(case, mode=args.mode, noise_eps=args.noise,
-                                   seed=seed, config=cfg)
+        rows = experiment.run_case(case, shots=None if args.mode == "exact" else 4096,
+                                   noise_eps=args.noise, seed=seed, eta=args.eta,
+                                   threshold=args.threshold, max_iters=args.max_iters)
         rows_by_case[case] = rows
         overlaps = " ".join(_fmt(r.overlap) for r in rows)
         print(f"{case} overlaps: {overlaps}")
@@ -209,12 +209,11 @@ def cmd_estimate_coeffs(args) -> int:
     decomp = _load_problem(args.problem)
     x0 = _parse_point(args.x0, decomp.dim)
     coeffs = poly.coefficients(decomp, x0)
-    b_circuit = lcu.estimate_b(decomp, x0, mode="exact")
+    b_circuit = lcu.estimate_b(decomp, x0)
     k, p = decomp.num_terms, decomp.order_p
     big_m = coeffs.b.prod(axis=1)
-    sampled = None
-    if args.mode == "sampled":
-        sampled = lcu.estimate_b(decomp, x0, mode="sampled", shots=args.shots, seed=args.seed)
+    sampled = None if args.mode == "exact" else lcu.estimate_b(decomp, x0, shots=args.shots, seed=args.seed)
+    beta = lcu.build_prepare(coeffs.c, 1.0).beta
     header = "m,alpha,j,b_exact,M_alpha,c_m"
     if sampled is not None:
         header += ",b_sampled,abs_dev,bound_4sigma"
@@ -232,7 +231,7 @@ def cmd_estimate_coeffs(args) -> int:
                 max_dev = max(max_dev, dev)
                 row += f",{_fmt(sampled[a, j])},{_fmt(dev)},{_fmt(bound)}"
             print(row)
-    print(f"beta,{_fmt(1.0 + float(np.abs(coeffs.c).sum()))}")
+    print(f"beta,{_fmt(beta)}")
     if sampled is not None:
         print(f"max_abs_dev,{_fmt(max_dev)}")
     return 0

@@ -36,7 +36,7 @@ X_OPT = Point(np.array([0.5, math.sqrt(3) / 2]))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The run settings of the fixed experiment, which ``repro`` takes from the command line.
+    """The defaults of the fixed experiment's run settings: run_case's keywords, which ``repro`` shows.
 
     The step size is 0.5: both published starting points then descend inside
     the basin of the t = pi/3 minimum.  A full step of 1.0 overshoots from the
@@ -62,10 +62,11 @@ def overlap(a: Point, b: Point) -> float:
     return float(a.coords @ b.coords)
 
 
-def run_case(case: str, mode: str = "exact", noise_eps: float = 0.0,
-             seed: int | None = None, config: ExperimentConfig | None = None) -> list[lcu.IterationRecord]:
-    """Full trajectory for case "s1" or "s2": the starting point as iteration 0, then every step."""
-    cfg = config if config is not None else ExperimentConfig()
+def run_case(case: str, shots: int | None = None, noise_eps: float = 0.0, seed: int | None = None, *,
+             eta: float = ExperimentConfig.eta, threshold: float = ExperimentConfig.threshold,
+             max_iters: int = ExperimentConfig.max_iters) -> list[lcu.IterationRecord]:
+    """Full trajectory for case "s1" or "s2": the starting point as iteration 0, then every step
+    (shots None post-selects exactly, a count samples each step at that many shots)."""
     x0 = STARTS.get(case.lower())
     if x0 is None:
         raise ValueError(f"unknown case {case!r}: expected 's1' or 's2'")
@@ -74,8 +75,7 @@ def run_case(case: str, mode: str = "exact", noise_eps: float = 0.0,
         overlap=overlap(x0, X_OPT), fidelity=None, label="start",
     )
     return [start] + lcu.optimize(
-        DECOMP, x0, eta=cfg.eta, threshold=cfg.threshold, max_iters=cfg.max_iters,
-        mode=mode, shots=None if mode == "exact" else 4096, seed=seed,
+        DECOMP, x0, eta=eta, threshold=threshold, max_iters=max_iters, shots=shots, seed=seed,
         noise_eps=noise_eps, reference=X_OPT,
     )
 

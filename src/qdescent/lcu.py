@@ -115,9 +115,12 @@ def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
     """v0's and V's columns, signs, and beta for the prepare stage of the weights c at step size eta."""
     _check_eta(eta)
     c = np.asarray(c, dtype=float)
-    weights = eta * np.abs(c)
-    total = float(weights.sum())
+    with np.errstate(over="ignore"):  # an overflow ends in an infinite beta, refused here
+        weights = eta * np.abs(c)
+        total = float(weights.sum())
     beta = 1.0 + total
+    if not math.isfinite(beta):
+        raise ValueError(f"beta = 1 + eta*sum|c| is not finite at eta={eta!r}")
     v0_column = np.array([1.0 / math.sqrt(beta), math.sqrt((beta - 1.0) / beta)])
     column = np.zeros(2 ** _width(len(c)))
     if total == 0.0:
@@ -185,11 +188,9 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
     return vec, prob
 
 
-def _check_mode(mode: str, shots: int | None, seed: int | None) -> None:
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and (shots is None or shots < 1):
-        raise ValueError("sampled mode needs shots >= 1")
+def _check_sampling(shots: int | None, seed: int | None) -> None:
+    if shots is not None and not (isinstance(shots, (int, np.integer)) and 1 <= shots < 2**63):  # binomial n is int64
+        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
     if seed is not None and seed < 0:  # optimize seeds step t with seed + t
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
@@ -202,8 +203,8 @@ def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0) -> It
     return IterationOutcome(next_point=Point(vec), success_prob=prob)
 
 
-def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
-               shots: int | None = None, seed: int | None = None) -> np.ndarray:
+def estimate_b(decomp: TensorDecomposition, x: Point, shots: int | None = None,
+               seed: int | None = None) -> np.ndarray:
     """Estimate every b_j^a = <x|A_m|x> through the expectation circuit.
 
     Hadamards put the select register in uniform superposition, each branch
@@ -211,24 +212,24 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
     |x><x| projector per select outcome.  Branch m is A_m x scaled by one
     Hadamard entry per select qubit, in sequence; the images A_m x are the
     factor pass at x, which the decomposition keeps, so a descent step from
-    the same point applies no factor again.  Sampled mode draws projector
-    frequencies at the given shot count and takes each sign from the exact
-    overlap, which the magnitude-only projector cannot provide.
+    the same point applies no factor again.  A shot count draws projector
+    frequencies at that count and takes each sign from the exact overlap,
+    which the magnitude-only projector cannot provide; shots None is exact.
     """
-    _check_mode(mode, shots, seed)
+    _check_sampling(shots, seed)
     layout = RegisterLayout.for_problem(decomp.flat_count, decomp.dim)
     _, branches = poly._factor_pass(decomp, poly._check_dim(decomp, x))
     for _ in range(layout.t1):
         branches = sim.HADAMARD[0, 0].real * branches
 
-    rng = np.random.default_rng(seed) if mode == "sampled" else None
+    rng = None if shots is None else np.random.default_rng(seed)
     out = np.empty(decomp.flat_count)
     norms = np.sqrt(np.sum(np.abs(branches) ** 2, axis=1))  # rounds each row as a sum of that row alone
     for m, branch in enumerate(branches):
         # post-selecting select outcome m renormalizes its branch; the factor pass has checked
         # that b_m, and so this overlap, has no imaginary part above 1e-12
         exact = complex(x.coords @ (branch / norms[m])).real
-        if mode == "exact":
+        if shots is None:
             out[m] = exact
         else:
             p = min(max(exact * exact, 0.0), 1.0)
@@ -238,20 +239,20 @@ def estimate_b(decomp: TensorDecomposition, x: Point, mode: str = "exact",
 
 
 def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
-             threshold: float = 1e-3, max_iters: int = 100, mode: str = "exact",
-             shots: int | None = None, seed: int | None = None,
-             noise_eps: float = 0.0, reference: Point | None = None) -> list[IterationRecord]:
+             threshold: float = 1e-3, max_iters: int = 100, shots: int | None = None,
+             seed: int | None = None, noise_eps: float = 0.0,
+             reference: Point | None = None) -> list[IterationRecord]:
     """Iterate the circuit until the sign-aligned step falls below threshold.
 
     One record per executed iteration; each runs run_lcu_step on the coefficients that the
-    previous record formed.  Sampled mode draws the number of post-selection successes among
-    ``shots`` Bernoulli repetitions and fails when none occur; the collapsed state itself is
-    exact either way.  With noise_eps > 0 the post-selected working state is depolarized,
-    purified back to a pure point, and the purified point carries the iteration; its fidelity
-    against the exact state is recorded.  That round runs unchecked on the arrays the loop has
-    made, through sim's kernels and in the order of the checked chain QState, to_density,
-    depolarize, fidelity, purify, whose bytes it gives.  Overlap columns are filled when a
-    reference point is given.
+    previous record formed.  shots None post-selects exactly; a shot count draws the number
+    of post-selection successes among that many Bernoulli repetitions and fails when none
+    occur, while the collapsed state itself is exact either way.  With noise_eps > 0 the
+    post-selected working state is depolarized, purified back to a pure point, and the
+    purified point carries the iteration; its fidelity against the exact state is recorded.
+    That round runs unchecked on the arrays the loop has made, through sim's kernels and in
+    the order of the checked chain QState, to_density, depolarize, fidelity, purify, whose
+    bytes it gives.  Overlap columns are filled when a reference point is given.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -259,7 +260,7 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
         raise ValueError("threshold must be positive and finite")
     if not 0 <= noise_eps <= 1:  # NaN fails too
         raise ValueError("noise strength must lie in [0, 1]")
-    _check_mode(mode, shots, seed)
+    _check_sampling(shots, seed)
     _check_eta(eta)
     records: list[IterationRecord] = []
     x = x0
@@ -269,7 +270,7 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     for t in range(1, max_iters + 1):
         y, prob = run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
         # step t draws its shots with seed + t
-        if mode == "sampled" and np.random.default_rng(None if seed is None else seed + t).binomial(shots, prob) == 0:
+        if shots is not None and np.random.default_rng(None if seed is None else seed + t).binomial(shots, prob) == 0:
             raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
         fid = None
         if noise_eps > 0:  # the density matrix, and so the purified point, is the same for +-y

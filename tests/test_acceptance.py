@@ -5,14 +5,13 @@ Run with -s (or read past the capture) to see the per-criterion lines.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from conftest import aligned, random_decomposition, random_point
 from qdescent import sim
 from qdescent.errors import DegenerateStepError
-from qdescent.experiment import ExperimentConfig, benchmark_decomposition, objective_theta, run_case
+from qdescent.experiment import benchmark_decomposition, objective_theta, run_case
 from qdescent.lcu import estimate_b, run_iteration
 from qdescent.mds import Weights, b_matrix, c_matrix, distances, mds_optimize, stress
 from qdescent.poly import (
@@ -196,7 +195,7 @@ def test_criterion_8_sampled_statistics():
     bounds = 4.0 * np.sqrt(probs * (1.0 - probs) / shots) + 1e-12
     hits = 0
     for trial in range(100):
-        got = estimate_b(d, x, mode="sampled", shots=shots, seed=trial).reshape(-1)
+        got = estimate_b(d, x, shots=shots, seed=trial).reshape(-1)
         if np.all(np.abs(got**2 - probs) <= bounds):
             hits += 1
     assert hits >= 99, f"only {hits}/100 trials inside 4 sigma"
@@ -207,7 +206,7 @@ def test_criterion_8_sampled_statistics():
 def test_criterion_9_noise_workflow():
     details = []
     for case in ("s1", "s2"):
-        rows = run_case(case, noise_eps=0.05, config=replace(ExperimentConfig(), max_iters=12))
+        rows = run_case(case, noise_eps=0.05, max_iters=12)
         iters = len(rows) - 1
         assert iters <= 12, f"{case} took {iters} iterations"
         assert abs(rows[-1].overlap) >= 0.99, f"{case} overlap {rows[-1].overlap}"
@@ -218,7 +217,7 @@ def test_criterion_9_noise_workflow():
     assert abs(self_f - 1.0) <= 1e-12, f"F(exact, exact) = {self_f}"
     fids = []
     for eps in (0.02, 0.05, 0.1, 0.2):
-        noisy = run_case("s2", noise_eps=eps, config=replace(ExperimentConfig(), max_iters=3))
+        noisy = run_case("s2", noise_eps=eps, max_iters=3)
         fids.append(noisy[1].fidelity)
     assert all(b < a for a, b in zip(fids, fids[1:])), f"fidelities not decreasing: {fids}"
     details.append("F(exact, exact) = 1 and fidelity decreases over eps grid")

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import count_applications
-from qdescent import cli, sim
+from qdescent import cli, experiment, lcu, sim
 from qdescent.cli import main
 from qdescent.mds import distances
+from qdescent.poly import Point
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -578,6 +579,65 @@ def test_decomposition_number_given_as_a_string_exits_1(field, value, named, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: malformed decomposition JSON: ") and named in captured.err
+
+
+HUGE_PROBLEM = {"dim": 2, "p": 1, "prefactor": 1e308, "terms": [[{"pauli": "X"}], [{"pauli": "Z"}]]}
+HUGE_SHOTS = ["--mode", "sampled", "--shots", "99999999999999999999"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["repro", "--eta", "1.7e308"], "beta = 1 + eta*sum|c| is not finite at eta=1.7e+308"),
+    (["estimate-coeffs", "--problem", "{huge}", "--x0", "0.6,0.8"], "beta = 1 + eta*sum|c| is not finite at eta=1.0"),
+    (["optimize", "--problem", "{problem}", "--x0", "0.6,0.8", *HUGE_SHOTS],
+     "shots must be an integer in [1, 2**63 - 1], got 99999999999999999999"),
+    (["estimate-coeffs", "--problem", "{problem}", "--x0", "0.6,0.8", *HUGE_SHOTS],
+     "shots must be an integer in [1, 2**63 - 1], got 99999999999999999999"),
+], ids=["repro-eta-overflow", "estimate-coeffs-beta-overflow", "optimize-shots-past-int64",
+        "estimate-coeffs-shots-past-int64"])
+def test_input_past_the_float_or_int64_range_exits_1_with_only_the_error_line(argv, message, tmp_path, capsys):
+    # a refused estimate-coeffs problem writes no table header first; tier-1 turns any numpy
+    # warning into an error, so none may come before the refusal
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(HUGE_PROBLEM))
+    inputs = {"{problem}": str(GOLDEN / "problem.json"), "{huge}": str(huge)}
+    assert main([inputs.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def _run_with_shots(run, shots):
+    x0 = Point.normalized([0.6, 0.8])
+    if run == "optimize":
+        return lcu.optimize(experiment.DECOMP, x0, max_iters=1, shots=shots, seed=1)
+    if run == "estimate_b":
+        return lcu.estimate_b(experiment.DECOMP, x0, shots=shots, seed=1)
+    return main([run.removeprefix("cli-"), "--problem", str(GOLDEN / "problem.json"), "--x0", "0.6,0.8",
+                 "--mode", "sampled", "--shots", str(shots), "--seed", "1"])
+
+
+RUNS_WITH_SHOTS = ["optimize", "estimate_b", "cli-optimize", "cli-estimate-coeffs"]
+
+
+@pytest.mark.parametrize("shots", [0, -1, 2.5, 2**63], ids=["zero", "negative", "fraction", "2**63"])
+@pytest.mark.parametrize("run", RUNS_WITH_SHOTS)
+def test_shots_outside_one_to_int64_max_are_refused(run, shots, capsys):
+    if not run.startswith("cli-"):
+        with pytest.raises(ValueError, match=rf"shots must be an integer in \[1, 2\*\*63 - 1\], got {shots}$"):
+            _run_with_shots(run, shots)
+        return
+    assert _run_with_shots(run, shots) == 1  # a fraction is refused by the flag's type, the rest by the check
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert captured.out == "" and len(errors) == 1 and "shots" in errors[0]
+
+
+@pytest.mark.parametrize("run", RUNS_WITH_SHOTS)
+def test_shots_of_int64_max_are_taken(run, capsys):
+    got = _run_with_shots(run, 2**63 - 1)
+    if run == "estimate_b":  # so many shots leave only the binomial's rounding
+        assert np.allclose(got, lcu.estimate_b(experiment.DECOMP, Point.normalized([0.6, 0.8])), atol=1e-8)
+    assert got == 0 if run.startswith("cli-") else len(got)
+    capsys.readouterr()
 
 
 def test_optimize_sampled_takes_shots(capsys):

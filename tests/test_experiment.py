@@ -1,5 +1,6 @@
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -130,8 +131,13 @@ def test_objective_never_increases_along_either_trajectory():
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
 
 
+def test_run_case_defaults_are_the_experiment_config():
+    params = inspect.signature(run_case).parameters
+    assert {name: params[name].default for name in asdict(ExperimentConfig())} == asdict(ExperimentConfig())
+
+
 def test_noise_run_still_converges():
-    rows = run_case("s2", noise_eps=0.1, config=replace(ExperimentConfig(), max_iters=12))
+    rows = run_case("s2", noise_eps=0.1, max_iters=12)
     assert rows[-1].label == "converged"
     assert rows[-1].overlap >= 0.99
     for r in rows[1:]:

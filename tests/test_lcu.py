@@ -231,6 +231,17 @@ def test_complete_from_first_column_is_unitary():
         assert np.array_equal(u[:, 0], col / np.linalg.norm(col))
 
 
+@pytest.mark.parametrize("scale, eta", [(1e308, 10.0), (1.7e308, 1.0)], ids=["weights", "sum"])
+def test_beta_past_the_float_range_is_refused_before_any_nan(scale, eta):
+    # at eta 10 each weight eta*|c_m| overflows; at eta 1 the weights are finite and their sum is not
+    d, x = benchmark(), Point.normalized([0.6, 0.8])
+    coeffs = coefficients(d, x)
+    c = scale * coeffs.c / np.abs(coeffs.c).max()
+    for run in (lambda: build_prepare(c, eta), lambda: run_lcu_step(coeffs.images, c, x.coords, eta)):
+        with pytest.raises(ValueError, match=rf"beta = 1 \+ eta\*sum\|c\| is not finite at eta={eta!r}"):
+            run()  # tier-1 turns numpy's overflow warning into an error, so none may come first
+
+
 def test_build_prepare_benchmark_values():
     d = benchmark()
     x = Point.normalized([1.0, 1.0])
@@ -342,12 +353,8 @@ def test_sampled_iteration_state_is_exact():
     d = benchmark()
     x = Point.normalized([1.0, 1.0])
     exact = optimize(d, x, eta=1.0, max_iters=1)
-    sampled = optimize(d, x, eta=1.0, max_iters=1, mode="sampled", shots=64, seed=5)
+    sampled = optimize(d, x, eta=1.0, max_iters=1, shots=64, seed=5)
     assert np.allclose(sampled[0].point.coords, exact[0].point.coords)
-    with pytest.raises(ValueError):
-        optimize(d, x, eta=1.0, max_iters=1, mode="sampled")
-    with pytest.raises(ValueError):
-        optimize(d, x, eta=1.0, max_iters=1, mode="nope")
 
 
 def test_sampled_optimize_stops_at_the_first_step_whose_shots_all_miss():
@@ -357,11 +364,11 @@ def test_sampled_optimize_stops_at_the_first_step_whose_shots_all_miss():
     miss = next(r for r in exact if np.random.default_rng(7 + r.iteration).binomial(1, r.success_prob) == 0)
     assert miss.iteration > 1
     with pytest.raises(PostselectionError, match=rf"no post-selection success in 1 shots \(p={miss.success_prob:.3e}\)"):
-        optimize(d, x0, max_iters=30, mode="sampled", shots=1, seed=7)
+        optimize(d, x0, max_iters=30, shots=1, seed=7)
 
 
 @pytest.mark.parametrize("run", [
-    lambda x: estimate_b(benchmark(), x, mode="sampled", shots=64, seed=-1),
+    lambda x: estimate_b(benchmark(), x, shots=64, seed=-1),
     lambda x: optimize(benchmark(), x, seed=-2),
 ], ids=["estimate_b", "optimize"])
 def test_negative_seed_is_refused(run):
@@ -397,7 +404,7 @@ def test_estimate_b_sampled_within_binomial_error():
     x = Point.normalized([0.6, 0.8])
     shots = 100_000
     exact = estimate_b(d, x)
-    noisy = estimate_b(d, x, mode="sampled", shots=shots, seed=21)
+    noisy = estimate_b(d, x, shots=shots, seed=21)
     for e, n in zip(exact.reshape(-1), noisy.reshape(-1)):
         p = min(e * e, 1.0)
         bound = 4.0 * math.sqrt(p * (1 - p) / shots)
@@ -409,8 +416,8 @@ def test_estimate_b_sampled_within_binomial_error():
 def test_estimate_b_sampled_deterministic():
     d = benchmark()
     x = Point.normalized([0.6, 0.8])
-    a = estimate_b(d, x, mode="sampled", shots=500, seed=9)
-    b = estimate_b(d, x, mode="sampled", shots=500, seed=9)
+    a = estimate_b(d, x, shots=500, seed=9)
+    b = estimate_b(d, x, shots=500, seed=9)
     assert np.array_equal(a, b)
 
 

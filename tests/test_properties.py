@@ -105,7 +105,7 @@ def test_pauli_decompose_is_the_tensordot_contraction_bit_for_bit(q, density, se
     assert np.array(list(comps.values())).tobytes() == np.array(list(expected.values())).tobytes()
 
 
-def scaled_start_estimate_b(decomp, x, mode="exact", shots=None, seed=None):
+def scaled_start_estimate_b(decomp, x, shots=None, seed=None):
     """estimate_b as the start vector scaled by one Hadamard entry per select qubit, then the table
     applied to it: the order that taking the factor pass's images first must reproduce."""
     start = x.coords
@@ -117,7 +117,7 @@ def scaled_start_estimate_b(decomp, x, mode="exact", shots=None, seed=None):
     out = []
     for branch, norm in zip(branches, norms):
         exact = complex(x.coords @ (branch / norm)).real
-        if mode == "sampled":
+        if shots is not None:
             exact = math.copysign(math.sqrt(rng.binomial(shots, min(max(exact * exact, 0.0), 1.0)) / shots), exact)
         out.append(exact)
     return np.reshape(out, (decomp.num_terms, decomp.order_p))
@@ -134,8 +134,8 @@ def test_estimate_b_from_the_factor_pass_is_the_scaled_start_formula(labels, dat
     assume(np.linalg.norm(coords) > 1e-3)
     x = Point.normalized(coords)
     assert estimate_b(decomp, x).tobytes() == scaled_start_estimate_b(decomp, x).tobytes()
-    sampled = estimate_b(decomp, x, mode="sampled", shots=shots, seed=seed)
-    assert sampled.tobytes() == scaled_start_estimate_b(decomp, x, "sampled", shots, seed).tobytes()
+    sampled = estimate_b(decomp, x, shots=shots, seed=seed)
+    assert sampled.tobytes() == scaled_start_estimate_b(decomp, x, shots, seed).tobytes()
 
 
 @st.composite
@@ -232,7 +232,7 @@ def test_the_first_column_step_is_the_completed_step_bit_for_bit(t1, pauli, data
     with pytest.MonkeyPatch.context() as mp:
         complete = lcu.complete_from_first_column
         mp.setattr(lcu, "complete_from_first_column", lambda col: completed.append(col) or complete(col))
-        for kwargs in ({}, {"mode": "sampled", "shots": 100, "seed": 1, "noise_eps": 0.1}):
+        for kwargs in ({}, {"shots": 100, "seed": 1, "noise_eps": 0.1}):
             try:
                 optimize(decomp, x, eta=eta, max_iters=3, **kwargs)
             except (DegenerateStepError, PostselectionError, PurificationError):
