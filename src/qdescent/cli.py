@@ -124,6 +124,7 @@ def _add_run_flags(p: argparse.ArgumentParser, eta: float, threshold: float, ite
 def cmd_optimize(args) -> int:
     decomp = _load_problem(args.problem)
     x0 = _parse_point(args.x0, decomp.dim)
+    lcu._check_sampling(args.shots, args.seed)  # --shots is refused in exact mode too, which reads none
     records = lcu.optimize(
         decomp, x0, eta=args.eta, threshold=args.threshold, max_iters=args.max_iters,
         shots=None if args.mode == "exact" else args.shots, seed=args.seed, noise_eps=args.noise,
@@ -208,6 +209,7 @@ def cmd_mds(args) -> int:
 def cmd_estimate_coeffs(args) -> int:
     decomp = _load_problem(args.problem)
     x0 = _parse_point(args.x0, decomp.dim)
+    lcu._check_sampling(args.shots, args.seed)
     coeffs = poly.coefficients(decomp, x0)
     b_circuit = lcu.estimate_b(decomp, x0)
     k, p = decomp.num_terms, decomp.order_p

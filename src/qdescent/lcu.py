@@ -106,14 +106,9 @@ def complete_from_first_column(col: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_eta(eta: float) -> None:
-    if not 0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
-
-
 def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
     """v0's and V's columns, signs, and beta for the prepare stage of the weights c at step size eta."""
-    _check_eta(eta)
+    poly._check_positive(eta, "eta")
     c = np.asarray(c, dtype=float)
     with np.errstate(over="ignore"):  # an overflow ends in an infinite beta, refused here
         weights = eta * np.abs(c)
@@ -256,12 +251,11 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not 0 < threshold < math.inf:
-        raise ValueError("threshold must be positive and finite")
+    poly._check_positive(threshold, "threshold")
     if not 0 <= noise_eps <= 1:  # NaN fails too
         raise ValueError("noise strength must lie in [0, 1]")
     _check_sampling(shots, seed)
-    _check_eta(eta)
+    poly._check_positive(eta, "eta")
     records: list[IterationRecord] = []
     x = x0
     d = 2 ** RegisterLayout.for_problem(decomp.flat_count, decomp.dim).n_work

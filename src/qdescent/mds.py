@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcu
-from .poly import PauliStrings, _pauli_digits, apply_factors
+from .poly import PauliStrings, _check_positive, _pauli_digits, apply_factors
 
 _DEMO_ETA = 0.05  # the column demo's step
 
@@ -197,10 +197,8 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     From 8 columns on, ``distances`` may differ from a broadcast sum in the
     last place, and the trace with it.
     """
-    if not 0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_positive(eta, "eta")
+    _check_positive(tol, "tol")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     dl, wt, x = _same_points(delta, w, x0)
@@ -296,7 +294,7 @@ def lcu_column_demo(delta, w, x) -> ColumnDemoResult:
         raise ValueError("first column has zero norm")
     unit = col / norm
     table = _pauli_table(digits.shape, digits.tobytes())
-    images = apply_factors(table, unit[None].repeat(len(weights), 0))
+    images = apply_factors(table, unit)
     vec, prob = lcu.run_lcu_step(images, weights, unit, _DEMO_ETA)
     classical = unit - _DEMO_ETA * dmat @ unit
     classical = classical / np.linalg.norm(classical)

@@ -93,7 +93,7 @@ def _digit_tables(digits: np.ndarray, negated) -> tuple[np.ndarray, np.ndarray]:
 class PauliStrings:
     """K Pauli strings such as "XZ" or "-YY" on the same qubits, as one (K, N) table: string k
     maps v to phase[k] * v[cols[k]], a phased permutation, unitary by construction, so nothing
-    is checked and K rows apply as one gather."""
+    is checked and the K strings apply to a vector as one gather."""
 
     labels: tuple[str, ...]
 
@@ -117,17 +117,17 @@ class PauliStrings:
 Factors = PauliStrings | tuple[UnitaryFactor, ...]
 
 
-def apply_factors(factors: Factors, rows: np.ndarray) -> np.ndarray:
-    """Row m of the (K, N) rows times factor m: one gather for a table, one matvec per dense
-    factor.  Either rounds each entry as factor m applied to row m alone."""
+def apply_factors(factors: Factors, v: np.ndarray) -> np.ndarray:
+    """The (K, N) images of the one vector v: row m is factor m times v, one gather for a table,
+    one matvec per dense factor."""
     if isinstance(factors, PauliStrings):
-        return factors.phase * rows[np.arange(len(factors))[:, None], factors.cols]
-    return np.array([f.matrix @ row for f, row in zip(factors, rows)])
+        return factors.phase * v[factors.cols]
+    return np.array([f.matrix @ v for f in factors])
 
 
 def factor_matrices(factors: Factors, n: int) -> np.ndarray:
     """The (K, n, n) dense matrices of K factors on dimension n: column j is apply_factors on e_j."""
-    return np.stack([apply_factors(factors, e[None].repeat(len(factors), 0)) for e in np.eye(n)], axis=2)
+    return np.stack([apply_factors(factors, e) for e in np.eye(n)], axis=2)
 
 
 @dataclass(frozen=True)
@@ -230,6 +230,11 @@ class CoefficientSet:
     images: np.ndarray  # K*p x N, row m = A_m x (complex for a Pauli table, whose phases are)
 
 
+def _check_positive(value: float, name: str) -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _check_dim(decomp: TensorDecomposition, x) -> np.ndarray:
     v = x.coords if isinstance(x, Point) else np.asarray(x, dtype=float)
     if v.shape != (decomp.dim,):
@@ -271,17 +276,14 @@ def _factor_pass(decomp: TensorDecomposition, v: np.ndarray) -> tuple[np.ndarray
     key = v.tobytes()
     if decomp._memo[0] == key:
         return decomp._memo[1:]
-    ys = apply_factors(decomp.factors, v[None].repeat(decomp.flat_count, 0))
-    b = np.empty(len(ys))
+    ys = apply_factors(decomp.factors, v)
     # one dot per row: a stacked ys @ v rounds differently, and b sets the output bytes; x is cast
     # to the rows' dtype once, the copy matmul would make for each row
     vx = v.astype(ys.dtype, copy=False)
-    for m, y in enumerate(ys):
-        val = vx @ y
-        if abs(val.imag) > 1e-12:
-            raise ValueError("quadratic form has a non-negligible imaginary part")
-        b[m] = val.real
-    b = b.reshape(decomp.num_terms, decomp.order_p)
+    b = np.array([vx @ y for y in ys])
+    if np.max(np.abs(b.imag)) > 1e-12:
+        raise ValueError("quadratic form has a non-negligible imaginary part")
+    b = b.real.reshape(decomp.num_terms, decomp.order_p)
     b.setflags(write=False)
     ys.setflags(write=False)
     object.__setattr__(decomp, "_memo", (key, b, ys))
@@ -349,8 +351,7 @@ def classical_iterate(decomp: TensorDecomposition, x: Point, eta: float) -> tupl
     Returns the new point together with the pre-normalization step norm
     ||x - eta*D*x||, which the quantum pipeline's success probability needs.
     """
-    if not 0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
+    _check_positive(eta, "eta")
     v = _check_dim(decomp, x)
     y = v - eta * classical_gradient(decomp, x)
     n = float(np.linalg.norm(y))

@@ -52,11 +52,11 @@ def kron_pauli(label):
 
 
 def count_applications(monkeypatch):
-    """Patch poly.apply_factors to log the row count of every call; returns the log.  The experiment's
+    """Patch poly.apply_factors to log the factor count of every call; returns the log.  The experiment's
     DECOMP is swapped for a fresh one, whose factor-pass memo no earlier run has filled, so a count
     does not depend on which tests ran before it."""
     monkeypatch.setattr(experiment, "DECOMP", experiment.benchmark_decomposition())
     applied = []
     apply_factors = poly.apply_factors
-    monkeypatch.setattr(poly, "apply_factors", lambda f, rows: applied.append(len(rows)) or apply_factors(f, rows))
+    monkeypatch.setattr(poly, "apply_factors", lambda f, v: applied.append(len(f)) or apply_factors(f, v))
     return applied

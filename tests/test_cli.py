@@ -611,11 +611,13 @@ def _run_with_shots(run, shots):
         return lcu.optimize(experiment.DECOMP, x0, max_iters=1, shots=shots, seed=1)
     if run == "estimate_b":
         return lcu.estimate_b(experiment.DECOMP, x0, shots=shots, seed=1)
-    return main([run.removeprefix("cli-"), "--problem", str(GOLDEN / "problem.json"), "--x0", "0.6,0.8",
-                 "--mode", "sampled", "--shots", str(shots), "--seed", "1"])
+    command, _, mode = run.removeprefix("cli-").partition(":")
+    return main([command, "--problem", str(GOLDEN / "problem.json"), "--x0", "0.6,0.8",
+                 "--mode", mode or "sampled", "--shots", str(shots), "--seed", "1"])
 
 
-RUNS_WITH_SHOTS = ["optimize", "estimate_b", "cli-optimize", "cli-estimate-coeffs"]
+RUNS_WITH_SHOTS = ["optimize", "estimate_b", "cli-optimize", "cli-estimate-coeffs", "cli-optimize:exact",
+                   "cli-estimate-coeffs:exact"]
 
 
 @pytest.mark.parametrize("shots", [0, -1, 2.5, 2**63], ids=["zero", "negative", "fraction", "2**63"])

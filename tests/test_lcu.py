@@ -169,7 +169,7 @@ def test_reference_instances_cover_both_prepare_branches_and_factor_kinds():
 @pytest.mark.parametrize("decomp, x", reference_instances())
 def test_kernel_matches_gate_level_reference(decomp, x):
     c = coefficients(decomp, x).c
-    images = poly.apply_factors(decomp.factors, np.broadcast_to(x.coords, (decomp.flat_count, decomp.dim)))
+    images = poly.apply_factors(decomp.factors, x.coords)
     try:
         vec, prob = run_lcu_step(images, c, x.coords, eta=0.7)
     except DegenerateStepError:
@@ -279,7 +279,7 @@ def test_prepare_state_amplitudes():
 
 def test_zero_weights_give_identity_step():
     x = np.array([0.6, 0.8])
-    images = poly.apply_factors(PauliStrings(["I", "X"]), np.broadcast_to(x, (2, 2)))
+    images = poly.apply_factors(PauliStrings(["I", "X"]), x)
     vec, prob = run_lcu_step(images, np.zeros(2), x, eta=1.0)
     prep = build_prepare(np.zeros(2), eta=1.0)
     assert np.isclose(prep.beta, 1.0)
@@ -452,7 +452,7 @@ def test_optimize_makes_one_factor_pass_per_point(monkeypatch):
     passes, applied = [], []
     factor_pass, apply_factors = poly._factor_pass, poly.apply_factors
     monkeypatch.setattr(poly, "_factor_pass", lambda d, v: passes.append(v.copy()) or factor_pass(d, v))
-    monkeypatch.setattr(poly, "apply_factors", lambda f, rows: applied.append(len(rows)) or apply_factors(f, rows))
+    monkeypatch.setattr(poly, "apply_factors", lambda f, v: applied.append(len(f)) or apply_factors(f, v))
     records = optimize(benchmark(), Point.normalized([0.86, 0.5]), eta=0.5, max_iters=8)
     # the start, then every accepted point once: its record's f and the next step's weights
     points = [Point.normalized([0.86, 0.5])] + [r.point for r in records]

@@ -68,7 +68,7 @@ def test_factor_dtype_is_real_exactly_when_every_entry_is_real():
     with pytest.raises(ValueError, match="not unitary"):
         UnitaryFactor(1.5 * real)
     for label in ("YY", "XZ"):  # real matrix, complex phases
-        assert apply_factors(PauliStrings([label]), np.ones((1, 4))).dtype == np.complex128
+        assert apply_factors(PauliStrings([label]), np.ones(4)).dtype == np.complex128
 
 
 def test_factor_pass_rows_are_real_for_real_dense_factors():
@@ -352,7 +352,7 @@ def test_pauli_string_matrix_equals_kron_product():
         assert np.array_equal(string.cols, [cols]), label
         assert np.array_equal(string.phase, [ref[np.arange(len(ref)), cols]]), label
         assert np.array_equal(factor_matrices(string, len(ref)), [ref]), label
-        applied = apply_factors(string, v[None, : len(ref)])
+        applied = apply_factors(string, v[: len(ref)])
         assert np.allclose(applied, [ref @ v[: len(ref)]], rtol=0, atol=1e-15), label
     for bad in ("XA", "", "-", "--X", ["X"], None):
         with pytest.raises(ValueError, match="unknown Pauli string"):

@@ -43,7 +43,7 @@ def test_pauli_string_is_the_kron_product(signed, seed):
     string, ref = PauliStrings([label]), kron_pauli(label)
     assert np.array_equal(factor_matrices(string, len(ref)), [ref])
     v = np.random.default_rng(seed).standard_normal((len(ref), 2)) @ np.array([1, 1j])
-    assert np.max(np.abs(apply_factors(string, v[None]) - ref @ v)) <= 1e-15
+    assert np.max(np.abs(apply_factors(string, v) - ref @ v)) <= 1e-15
 
 
 @st.composite
@@ -63,10 +63,10 @@ def test_pauli_table_rows_are_the_strings(labels, seed):
         assert np.array_equal(table.cols[k], string.cols[0])
         assert table.phase[k].tobytes() == string.phase[0].tobytes()
     rows = np.random.default_rng(seed).standard_normal((*table.cols.shape, 2)) @ np.array([1, 1j])
-    applied = apply_factors(table, rows)
     matrices = factor_matrices(table, table.cols.shape[1])
     for k, string in enumerate(strings):
-        assert applied[k].tobytes() == apply_factors(string, rows[k:k + 1])[0].tobytes()
+        applied = apply_factors(table, rows[k])
+        assert applied[k].tobytes() == apply_factors(string, rows[k])[0].tobytes()
         assert np.max(np.abs(applied[k] - matrices[k] @ rows[k])) <= 1e-15
 
 
@@ -111,7 +111,7 @@ def scaled_start_estimate_b(decomp, x, shots=None, seed=None):
     start = x.coords
     for _ in range(RegisterLayout.for_problem(decomp.flat_count, decomp.dim).t1):
         start = HADAMARD[0, 0].real * start
-    branches = apply_factors(decomp.factors, np.broadcast_to(start, (decomp.flat_count, decomp.dim)))
+    branches = apply_factors(decomp.factors, start)
     norms = np.sqrt(np.sum(np.abs(branches) ** 2, axis=1))
     rng = np.random.default_rng(seed)
     out = []
@@ -387,17 +387,25 @@ def factor_pass_problems(draw):
     return TensorDecomposition(dim=n, order_p=p, terms=terms, prefactor=prefactor), random_point(rng, n)
 
 
+def broadcast_rows_formula(factors, v):
+    """The factors applied to K broadcast rows of v, row m by factor m: a gather indexed by row
+    number for a table, one matvec per row for dense factors."""
+    if isinstance(factors, PauliStrings):
+        return factors.phase * np.broadcast_to(v, factors.cols.shape)[np.arange(len(factors))[:, None], factors.cols]
+    return np.array([f.matrix @ row for f, row in zip(factors, np.broadcast_to(v, (len(factors), len(v))))])
+
+
 @given(factor_pass_problems())
 def test_the_factor_pass_is_the_broadcast_formula_bit_for_bit(problem):
-    # the pass forms x's K rows by repeat and casts x once; the broadcast rows and one v @ y per
-    # row must give the same bytes, and c is each term's other quotients times s, in order
+    # the pass applies the factors to x itself and casts x once; the broadcast rows and one v @ y
+    # per row must give the same bytes, and c is each term's other quotients times s, in order
     decomp, x = problem
     v, (k, p), n = x.coords, (decomp.num_terms, decomp.order_p), decomp.dim
-    ys = apply_factors(decomp.factors, np.broadcast_to(v, (k * p, n)))
+    ys = broadcast_rows_formula(decomp.factors, v)
     b = np.array([(v @ y).real for y in ys]).reshape(k, p)
     c = [math.prod((b[a, i] for i in range(p) if i != j), start=decomp.prefactor) for a in range(k) for j in range(p)]
     got = coefficients(decomp, x)
     assert got.images.dtype == ys.dtype and got.images.tobytes() == ys.tobytes()
     assert got.b.tobytes() == b.tobytes() and got.c.tobytes() == np.array(c).tobytes()
-    columns = [apply_factors(decomp.factors, np.broadcast_to(e, (k * p, n))) for e in np.eye(n)]
+    columns = [broadcast_rows_formula(decomp.factors, e) for e in np.eye(n)]
     assert factor_matrices(decomp.factors, n).tobytes() == np.stack(columns, axis=2).tobytes()
