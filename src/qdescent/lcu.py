@@ -186,8 +186,8 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
 def _check_sampling(shots: int | None, seed: int | None) -> None:
     if shots is not None and not (isinstance(shots, (int, np.integer)) and 1 <= shots < 2**63):  # binomial n is int64
         raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
-    if seed is not None and seed < 0:  # optimize seeds step t with seed + t
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def run_iteration(decomp: TensorDecomposition, x: Point, eta: float = 1.0) -> IterationOutcome:
@@ -217,20 +217,15 @@ def estimate_b(decomp: TensorDecomposition, x: Point, shots: int | None = None,
     for _ in range(layout.t1):
         branches = sim.HADAMARD[0, 0].real * branches
 
-    rng = None if shots is None else np.random.default_rng(seed)
-    out = np.empty(decomp.flat_count)
     norms = np.sqrt(np.sum(np.abs(branches) ** 2, axis=1))  # rounds each row as a sum of that row alone
-    for m, branch in enumerate(branches):
-        # post-selecting select outcome m renormalizes its branch; the factor pass has checked
-        # that b_m, and so this overlap, has no imaginary part above 1e-12
-        exact = complex(x.coords @ (branch / norms[m])).real
-        if shots is None:
-            out[m] = exact
-        else:
-            p = min(max(exact * exact, 0.0), 1.0)
-            k = rng.binomial(shots, p)
-            out[m] = math.copysign(math.sqrt(k / shots), exact)
-    return out.reshape(decomp.num_terms, decomp.order_p)
+    # post-selecting select outcome m renormalizes its branch; the factor pass has checked that b_m,
+    # and so this overlap, has no imaginary part above 1e-12
+    b = np.array([complex(x.coords @ (branch / norm)).real for branch, norm in zip(branches, norms)])
+    if shots is not None:
+        hits = np.random.default_rng(seed).binomial(shots, np.clip(b * b, 0.0, 1.0)).tolist()
+        # the hits are Python ints, so k / shots rounds once where float64 operands round above 2**53
+        b = np.array([math.copysign(math.sqrt(k / shots), exact) for k, exact in zip(hits, b)])
+    return b.reshape(decomp.num_terms, decomp.order_p)
 
 
 def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
@@ -241,10 +236,11 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
 
     One record per executed iteration; each runs run_lcu_step on the coefficients that the
     previous record formed.  shots None post-selects exactly; a shot count draws the number
-    of post-selection successes among that many Bernoulli repetitions and fails when none
-    occur, while the collapsed state itself is exact either way.  With noise_eps > 0 the
-    post-selected working state is depolarized, purified back to a pure point, and the
-    purified point carries the iteration; its fidelity against the exact state is recorded.
+    of post-selection successes among that many Bernoulli repetitions, every step from one
+    generator seeded with seed, and fails when none occur, while the collapsed state itself
+    is exact either way.  With noise_eps > 0 the post-selected working state is depolarized,
+    purified back to a pure point, and the purified point carries the iteration; its
+    fidelity against the exact state is recorded.
     That round runs unchecked on the arrays the loop has made, through sim's kernels and in
     the order of the checked chain QState, to_density, depolarize, fidelity, purify, whose
     bytes it gives.  Overlap columns are filled when a reference point is given.
@@ -260,11 +256,11 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     x = x0
     d = 2 ** RegisterLayout.for_problem(decomp.flat_count, decomp.dim).n_work
     mixed = np.eye(d) / d if noise_eps > 0 else None  # I/d, which the noise blends in
+    rng = None if shots is None else np.random.default_rng(seed)
     coeffs = poly.coefficients(decomp, x)
     for t in range(1, max_iters + 1):
         y, prob = run_lcu_step(coeffs.images, coeffs.c, x.coords, eta)
-        # step t draws its shots with seed + t
-        if shots is not None and np.random.default_rng(None if seed is None else seed + t).binomial(shots, prob) == 0:
+        if rng is not None and rng.binomial(shots, prob) == 0:
             raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
         fid = None
         if noise_eps > 0:  # the density matrix, and so the purified point, is the same for +-y

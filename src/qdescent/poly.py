@@ -56,17 +56,17 @@ class UnitaryFactor:
 
 
 def _pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
-    """_digit_tables of K Pauli labels on the same qubits, parsed at once, a leading "-" as one negation."""
-    bodies = [lbl.removeprefix("-") if isinstance(lbl, str) else "" for lbl in labels]
-    joined, q = "".join(bodies), len(bodies[0]) if bodies else 0
-    if not q or joined.strip("IXYZ") or set(map(len, bodies)) != {q}:
-        for lbl, body in zip(labels, bodies):
-            if not body or body.strip("IXYZ"):
-                raise ValueError(f"unknown Pauli string {lbl!r}")
+    """_digit_tables of K Pauli labels on the same qubits, a leading "-" as one negation."""
+    digits, negated = [], []
+    for lbl in labels:
+        body = lbl.removeprefix("-") if isinstance(lbl, str) else ""
+        if not body or body.strip("IXYZ"):
+            raise ValueError(f"unknown Pauli string {lbl!r}")
+        digits.append(["IXYZ".index(ch) for ch in body])
+        negated.append(len(lbl) - len(body))
+    if len(set(map(len, digits))) != 1:
         raise ValueError("need one or more Pauli strings, all on the same number of qubits")
-    letters = np.frombuffer(joined.encode(), dtype=np.uint8).reshape(len(bodies), q)
-    negated = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels)) - q
-    return _digit_tables(np.frombuffer(b"IXYZ", dtype=np.uint8).searchsorted(letters), negated)
+    return _digit_tables(np.array(digits), np.array(negated))
 
 
 def _digit_tables(digits: np.ndarray, negated) -> tuple[np.ndarray, np.ndarray]:

@@ -186,6 +186,36 @@ def test_repro_sampled_mode_deterministic(tmp_path, capsys):
     assert text_a == text_b
 
 
+def test_a_sampled_run_draws_from_one_generator(monkeypatch, capsys):
+    # a sampled run is one stream of draws: one generator per optimize or estimate_b call, none when
+    # exact, and repro's second case seeds its own with seed + 1
+    log, make = [], np.random.default_rng
+
+    class LoggedGenerator:
+        def __init__(self, seed=None):
+            log.append(("default_rng", seed))
+            self.rng = make(seed)
+
+        def binomial(self, n, p):
+            log.append(("binomial", n))
+            return self.rng.binomial(n, p)
+
+    monkeypatch.setattr(np.random, "default_rng", LoggedGenerator)
+    decomp, x0 = experiment.DECOMP, experiment.STARTS["s2"]
+    lcu.optimize(decomp, x0)
+    lcu.estimate_b(decomp, x0)
+    assert log == []
+    steps = len(lcu.optimize(decomp, x0, shots=4096, seed=3))
+    assert steps > 1 and log == [("default_rng", 3)] + [("binomial", 4096)] * steps
+    log.clear()
+    lcu.estimate_b(decomp, x0, shots=100, seed=3)
+    assert log == [("default_rng", 3), ("binomial", 100)]
+    log.clear()
+    assert main(["repro", "--case", "both", "--mode", "sampled", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert [entry for entry in log if entry[0] == "default_rng"] == [("default_rng", 5), ("default_rng", 6)]
+
+
 def test_mds_square_from_random_start(square_delta_file, tmp_path, capsys):
     # stress descent is multimodal; this seed starts inside the global basin
     base = str(tmp_path / "mds")
@@ -510,7 +540,7 @@ def test_out_of_range_input_exits_1(argv, message, capsys):
     ["mds", "--delta", "{square}", "--seed", "-1"],
 ], ids=["repro-sampled", "repro-exact", "optimize", "estimate-coeffs", "mds"])
 def test_negative_seed_exits_1_naming_the_flag(argv, capsys):
-    # step t takes seed + t, so the flag refuses a negative seed in every mode
+    # numpy seeds are non-negative integers, so the flag refuses a negative seed in every mode
     inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
     assert main([inputs.get(arg, arg) for arg in argv]) == 1
     captured = capsys.readouterr()

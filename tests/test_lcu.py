@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -360,20 +361,23 @@ def test_sampled_iteration_state_is_exact():
 def test_sampled_optimize_stops_at_the_first_step_whose_shots_all_miss():
     d, x0 = benchmark(), Point.normalized([0.3, 0.7])
     exact = optimize(d, x0, max_iters=30)
-    # step t draws its successes with seed + t, and the collapsed state is the exact one
-    miss = next(r for r in exact if np.random.default_rng(7 + r.iteration).binomial(1, r.success_prob) == 0)
-    assert miss.iteration > 1
+    # the steps draw their successes from one generator in step order, and the collapsed state is
+    # the exact one; at seed 2 a generator made afresh for each step would miss one step earlier
+    rng = np.random.default_rng(2)
+    miss = next(r for r in exact if rng.binomial(1, r.success_prob) == 0)
+    assert miss.iteration == 3
     with pytest.raises(PostselectionError, match=rf"no post-selection success in 1 shots \(p={miss.success_prob:.3e}\)"):
-        optimize(d, x0, max_iters=30, shots=1, seed=7)
+        optimize(d, x0, max_iters=30, shots=1, seed=2)
 
 
 @pytest.mark.parametrize("run", [
-    lambda x: estimate_b(benchmark(), x, shots=64, seed=-1),
-    lambda x: optimize(benchmark(), x, seed=-2),
+    lambda x, seed: estimate_b(benchmark(), x, shots=64, seed=seed),
+    lambda x, seed: optimize(benchmark(), x, seed=seed),
 ], ids=["estimate_b", "optimize"])
 def test_negative_seed_is_refused(run):
-    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -"):
-        run(Point.normalized([1.0, 1.0]))
+    for seed in (-1, -2, 1.5, math.nan, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            run(Point.normalized([1.0, 1.0]), seed)
 
 
 def test_estimate_b_benchmark_exact():

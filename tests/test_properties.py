@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -385,6 +385,40 @@ def factor_pass_problems(draw):
     terms = [[factor() for _ in range(p)] for _ in range(k)]
     prefactor = draw(st.floats(0.3, 1.5)) * draw(st.sampled_from([-1.0, 1.0]))
     return TensorDecomposition(dim=n, order_p=p, terms=terms, prefactor=prefactor), random_point(rng, n)
+
+
+@st.composite
+def sampled_estimate_cases(draw):
+    """A factor-pass problem at its random point or at a basis vector, where a Pauli quotient is +-1 or 0."""
+    decomp, x = draw(factor_pass_problems())
+    if draw(st.booleans()):
+        x = Point(np.eye(decomp.dim)[draw(st.integers(0, decomp.dim - 1))])
+    return decomp, x
+
+
+def per_row_estimate_b(decomp, x, shots, seed):
+    """Sampled estimate_b with one scalar binomial draw per row, in row order, from one generator."""
+    _, branches = poly._factor_pass(decomp, x.coords)
+    for _ in range(RegisterLayout.for_problem(decomp.flat_count, decomp.dim).t1):
+        branches = HADAMARD[0, 0].real * branches
+    norms = np.sqrt(np.sum(np.abs(branches) ** 2, axis=1))
+    rng = np.random.default_rng(seed)
+    out = np.empty(decomp.flat_count)
+    for m, branch in enumerate(branches):
+        exact = complex(x.coords @ (branch / norms[m])).real
+        k = rng.binomial(shots, min(max(exact * exact, 0.0), 1.0))
+        out[m] = math.copysign(math.sqrt(k / shots), exact)
+    return out.reshape(decomp.num_terms, decomp.order_p)
+
+
+@pytest.mark.parametrize("shots", [1, 1000, 2**53 + 1, 2**63 - 1])
+@given(sampled_estimate_cases(), st.integers(0, 2**32 - 1))
+@example((TensorDecomposition(dim=2, order_p=2, terms=[["-I", "X"], ["X", "Z"]]), Point([1.0, 0.0])), 5)
+def test_sampled_estimate_b_is_the_per_row_draw_loop_bit_for_bit(shots, case, seed):
+    # the example's b is -1, 0, 0, 1, so its draws have p = 1 and p = 0
+    decomp, x = case
+    sampled = estimate_b(decomp, x, shots=shots, seed=seed)
+    assert sampled.tobytes() == per_row_estimate_b(decomp, x, shots, seed).tobytes()
 
 
 def broadcast_rows_formula(factors, v):
