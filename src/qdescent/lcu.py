@@ -126,50 +126,44 @@ def build_prepare(c: np.ndarray, eta: float) -> PrepareSpec:
     return PrepareSpec(beta=beta, v0_column=v0_column, column=column, signs=signs)
 
 
-def _first_column_only(u: np.ndarray) -> np.ndarray:
-    """The square matrix with first column u and zeros past it: row 0 of its transpose times
-    a slice rounds as the completed unitary's does, since gemm forms each entry from its own
-    row and column only."""
-    out = np.zeros((u.shape[0], u.shape[0]))
-    out[:, 0] = u
+def _first_row(u: np.ndarray) -> np.ndarray:
+    """[u; 0], u over a row of zeros: row 0 of its product with a matrix rounds as the completed
+    unitary's transpose does, since gemm forms each entry from its own row and column; u @ m, a
+    matvec, rounds otherwise."""
+    out = np.zeros((2, u.shape[0]))
+    out[0] = u
     return out
 
 
 def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
     """Execute one circuit step from the (K, N) factor images A_m x and the weights c.
 
-    The state is a (flag, select, work) array of shape (2, 2^t1, 2^n_work), of the images'
-    dtype.  Prepare leaves the flag=1 slice in the product state (V e0) (x) v0[1,0] x, so
-    select turns its row m into sign_m V[m,0] v0[1,0] A_m x, formed from the images in that
-    order; no factor is applied and no gate checked here.  Un-prepare forms only row 0, which
-    post-selection reads.  Row 0 of V^T and of v0^T is the first column of V and of v0, the
-    PrepareSpec column normalized, so neither unitary is completed: up to t1 = 2 the slice
-    is multiplied by the transpose of a 2^t1 x 2^t1 matrix holding that column and zeros past
-    it, the completed V^T's product, whose rounding 3 golden outputs pin; from t1 = 3 the row
-    is the column, a contiguous array, times the slice.  The flag rotation is undone by the
-    same 2 x 2 product, which 4 golden outputs pin.
+    Only the row that post-selection keeps is formed, in the images' dtype.  Prepare leaves
+    the flag=1 slice in the product state (V e0) (x) v0[1,0] x, so select turns its row m
+    into sign_m V[m,0] v0[1,0] A_m x, formed from the images in that order; no factor is
+    applied and no gate checked here.  Row 0 of V^T and of v0^T is the first column of V and
+    of v0, the PrepareSpec column normalized, so neither unitary is completed: un-prepare is
+    row 0 of [u; 0] times the K select rows, then of [v0 column; 0] times the flag's two rows,
+    the completed products' rounding, which 3 and 4 golden outputs pin.
 
     Returns (post-selected working vector of len(x_vec), success probability).
     The weights c may come from a CoefficientSet or any other real linear
-    combination of the factors.
+    combination of the factors; a non-finite image or x_vec raises ValueError.
     """
     x_vec = np.asarray(x_vec, dtype=float)
     n, k = x_vec.shape[0], len(images)
-    layout = RegisterLayout.for_problem(k, n)
+    RegisterLayout.for_problem(k, n)  # the qubit cap
     prep = build_prepare(c, eta)
     flag_u, u = _unit(prep.v0_column), _unit(prep.column)
 
-    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=images.dtype)
-    state[0, 0, :n] = flag_u[0] * x_vec  # v0's flag=1 amplitude is scaled into the images
-    select = state[1, :k, :n]
-    np.multiply(flag_u[1], images, out=select)
-    select *= (prep.signs * u[:k])[:, None]
-    state[1, 0] = (_first_column_only(u).T @ state[1])[0] if layout.t1 <= 2 else u[:k] @ state[1, :k]
-
-    # after un-prepare only the kept row is read; it is row 0 of the 2 x 2 v0^T product, whose
-    # rounding 4 golden outputs pin (two scalar products, or flag_u @ state[:, 0], move them)
-    kept = (_first_column_only(flag_u).T @ state[:, 0])[0]
-    prob = float((np.abs(kept) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite input ends in a non-finite prob
+        rows = np.multiply(flag_u[1], images)  # v0's flag=1 amplitude is scaled into the images
+        rows *= (prep.signs * u[:k])[:, None]
+        flag_rows = np.array([flag_u[0] * x_vec, (_first_row(u[:k]) @ rows)[0]])
+        kept = (_first_row(flag_u) @ flag_rows)[0]
+        prob = float((np.abs(kept) ** 2).sum())
+    if not math.isfinite(prob):
+        raise ValueError(f"success probability is {prob}: images and x_vec must be finite")
     if prep.beta * math.sqrt(prob) < 1e-14:
         raise DegenerateStepError("descent step annihilated the point (x == eta*D*x)")
     if prob <= 1e-14:
@@ -178,7 +172,7 @@ def run_lcu_step(images: np.ndarray, c: np.ndarray, x_vec: np.ndarray, eta: floa
     prob = min(prob, 1.0)  # rounding can leave the subspace weight a few ulp above 1
     if np.abs(amps.imag).max() > 1e-10:
         raise ValueError("post-selected state is not real; factors must be real-valued")
-    vec = np.ascontiguousarray(amps.real[:n])  # as np.linalg.norm makes it before its dot
+    vec = np.ascontiguousarray(amps.real)  # as np.linalg.norm makes it before its dot
     vec = vec / math.sqrt(vec @ vec)
     return vec, prob
 

@@ -202,7 +202,10 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     dl, wt, x = _same_points(delta, w, x0)
-    c, wdl = _laplacian(wt), wt * dl
+    with np.errstate(over="ignore"):  # an overflow is refused below, before any step
+        c, wdl = _laplacian(wt), wt * dl
+    if not (np.isfinite(c).all() and np.isfinite(wdl).all()):
+        raise ValueError("weights * delta and the weights' row sums must be finite")
     c_diag = c.diagonal()
     step, resid, diff, xt = np.empty_like(c), np.empty_like(c), np.empty((x.shape[1],) + c.shape), np.empty(x.T.shape)
     left, right, d, step_diag = xt[:, :, None], xt[:, None, :], diff[0], step.reshape(-1)[:: len(step) + 1]  # views

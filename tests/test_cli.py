@@ -300,7 +300,8 @@ def test_mds_input_validation(square_delta_file, tmp_path, capsys):
     ("--x0", np.zeros((3, 2)), "weights (4, 4) and configuration (3, 2) disagree"),
     ("--weights", np.eye(4) - 1.0, "weights entries must be nonnegative"),
     ("--x0", np.full((4, 2), np.inf), "configuration entries must be finite"),
-], ids=["weights-3", "x0-3", "weights-negative", "x0-inf"])
+    ("--weights", 1e308 * (np.ones((4, 4)) - np.eye(4)), "weights * delta and the weights' row sums must be finite"),
+], ids=["weights-3", "x0-3", "weights-negative", "x0-inf", "weights-row-sum-overflow"])
 def test_mds_weights_and_x0_files_are_checked_by_the_optimizer(flag, matrix, message, tmp_path, capsys):
     path = tmp_path / "input.csv"
     np.savetxt(path, matrix, delimiter=",")
@@ -469,6 +470,17 @@ def test_mds_start_past_the_float_range_names_the_start(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == "error: stress is not finite at the starting configuration (rescale --x0)\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+def test_mds_weights_times_delta_past_the_float_range_exits_1_without_a_warning(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text("[[0, 1e308], [1e308, 0]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        assert main(["mds", "--delta", str(huge), "--weights", str(huge), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weights * delta and the weights' row sums must be finite\n"
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--weights", "--x0"])

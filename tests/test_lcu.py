@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,22 @@ def test_single_factor_layout():
     prep = build_prepare(coefficients(identity_problem(), Point.normalized([1.0, 0.0])).c, eta=0.5)
     assert prep.column.shape == (1,)
     assert np.isclose(complete_from_first_column(prep.column)[0, 0], 1.0)
+
+
+def test_a_step_at_a_20_qubit_layout_holds_one_copy_of_the_images():
+    # the (2, 2^13, 2^6) block state of the whole register would be four times the images
+    rng = np.random.default_rng(5)
+    table = PauliStrings.from_digits(rng.choice([0, 1, 3], size=(4097, 6)))
+    x = random_point(rng, 64).coords
+    images = poly.apply_factors(table, x)
+    assert RegisterLayout.for_problem(len(table), len(x)).total_qubits == 20
+    tracemalloc.start()
+    try:
+        run_lcu_step(images, rng.standard_normal(len(table)), x, eta=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * images.nbytes
 
 
 def test_iteration_matches_classical_step():

@@ -173,22 +173,21 @@ def test_circuit_matches_oracle_and_success_probability_law(problem):
 
 
 def completed_lcu_step(images, c, x_vec, eta):
-    """run_lcu_step with its prepare unitaries completed: v0 and, up to t1 = 2, V are whole
+    """run_lcu_step with its prepare unitaries completed: v0 and V are whole
     complete_from_first_column matrices, whose transposes un-prepare multiplies."""
     n, k = len(x_vec), len(images)
     layout = RegisterLayout.for_problem(k, n)
     prep = lcu.build_prepare(c, eta)
     v0, v = lcu.complete_from_first_column(prep.v0_column), lcu.complete_from_first_column(prep.column)
-    u = v[:, 0].copy()  # contiguous, as the dot past t1 = 2 rounds by its operands' strides
-    state = np.zeros((2, 2**layout.t1, 2**layout.n_work), dtype=images.dtype)
-    state[0, 0, :n] = v0[0, 0] * x_vec
-    select = state[1, :k, :n]
+    state = np.zeros((2, 2**layout.t1, n), dtype=images.dtype)
+    state[0, 0] = v0[0, 0] * x_vec
+    select = state[1, :k]
     np.multiply(v0[1, 0], images, out=select)
-    select *= (prep.signs * u[:k])[:, None]
-    state[1, 0] = (v.T @ state[1])[0] if layout.t1 <= 2 else u[:k] @ state[1, :k]
+    select *= (prep.signs * v[:k, 0])[:, None]
+    state[1, 0] = (v.T @ state[1])[0]
     kept = (v0.T @ state[:, 0])[0]
     prob = float((np.abs(kept) ** 2).sum())
-    vec = np.ascontiguousarray((kept / np.sqrt(prob)).real[:n])
+    vec = np.ascontiguousarray((kept / np.sqrt(prob)).real)
     return vec / math.sqrt(vec @ vec), min(prob, 1.0)
 
 
@@ -217,7 +216,7 @@ def select_widths(draw, t1, pauli):
 @given(data=st.data())
 def test_the_first_column_step_is_the_completed_step_bit_for_bit(t1, pauli, data):
     # post-selection reads row 0 of V^T and v0^T, which is their first column: the step's
-    # products, with zeros past that column, round as the completed matrices did
+    # 2-row products, with zeros below that row, round as the completed matrices did
     decomp, x, eta = data.draw(select_widths(t1, pauli))
     assert RegisterLayout.for_problem(decomp.flat_count, decomp.dim).t1 == t1
     coeffs = coefficients(decomp, x)
@@ -263,7 +262,11 @@ def test_non_finite_input_is_rejected_at_every_boundary(bad, seed):
     dense = bad_factor["terms"][0][0]["dense"]
     dense[rng.integers(len(dense))][rng.integers(2)] = bad
     mds_inputs = [distances(rng.standard_normal((n, 2))), Weights.uniform(n).w, rng.standard_normal((n, 2))]
+    x = random_point(rng, decomp.dim)
+    coeffs = coefficients(decomp, x)
     checks = [
+        lambda: lcu.run_lcu_step(spoiled(coeffs.images), coeffs.c, x.coords, 0.5),
+        lambda: lcu.run_lcu_step(coeffs.images, coeffs.c, spoiled(x.coords), 0.5),
         lambda: pauli_decompose(spoiled(mds_inputs[0])),
         lambda: Point(spoiled(random_point(rng, n).coords)),
         lambda: UnitaryFactor(spoiled(random_symmetric_unitary(rng, n))),
