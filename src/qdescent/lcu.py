@@ -234,7 +234,8 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     generator seeded with seed, and fails when none occur, while the collapsed state itself
     is exact either way.  With noise_eps > 0 the post-selected working state is depolarized,
     purified back to a pure point, and the purified point carries the iteration; its
-    fidelity against the exact state is recorded.
+    fidelity against the exact state is recorded.  Its 2^n_work x 2^n_work density matrix
+    may hold at most 2^sim.MAX_QUBITS entries, so the noise needs n_work <= 10.
     That round runs unchecked on the arrays the loop has made, through sim's kernels and in
     the order of the checked chain QState, to_density, depolarize, fidelity, purify, whose
     bytes it gives.  Overlap columns are filled when a reference point is given.
@@ -246,9 +247,12 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
         raise ValueError("noise strength must lie in [0, 1]")
     _check_sampling(shots, seed)
     poly._check_positive(eta, "eta")
+    n_work = RegisterLayout.for_problem(decomp.flat_count, decomp.dim).n_work
+    if noise_eps > 0 and 4**n_work > 2**sim.MAX_QUBITS:  # the statevector cap's 16 MiB, before any allocation
+        raise CapacityError(f"the noise round's density matrix needs 4^{n_work} entries (cap 2^{sim.MAX_QUBITS})")
     records: list[IterationRecord] = []
     x = x0
-    d = 2 ** RegisterLayout.for_problem(decomp.flat_count, decomp.dim).n_work
+    d = 2**n_work
     mixed = np.eye(d) / d if noise_eps > 0 else None  # I/d, which the noise blends in
     rng = None if shots is None else np.random.default_rng(seed)
     coeffs = poly.coefficients(decomp, x)

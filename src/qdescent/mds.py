@@ -10,9 +10,9 @@ treating B as frozen (stepping with D) stalls at rescaled configurations with
 nonzero stress, so D is kept for the trace identities and the circuit demo
 while the optimizer uses the corrected operator.
 
-Each public function takes δ, w and X as their types or as raw arrays: an
-instance passes through, a raw array is built into its type and so meets the
-same checks and messages.  The work inside runs on the checked arrays.
+Each public function takes δ, w and X as their types or as raw arrays, built
+into their types, so all meet one boundary: δ and w need finite row sums, and a
+pair a finite stress at the origin, ½Σ w·δ², so that w·δ² and w·δ are finite.
 """
 
 from __future__ import annotations
@@ -33,14 +33,15 @@ def _square_checked(m, name: str) -> np.ndarray:
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"{name} must be a non-empty square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN, an inf or an overflow ends in a row sum refused here
+        if not np.isfinite(a.sum(axis=1)).all():  # for weights, C's diagonal
+            raise ValueError(f"{name} entries must be finite, and so must their row sums")
+    if np.min(a) < 0:  # first, so that a - a.T below cannot overflow
+        raise ValueError(f"{name} entries must be nonnegative")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
     if np.max(np.abs(np.diag(a))) > 1e-12:
         raise ValueError(f"{name} must have a zero diagonal")
-    if np.min(a) < 0:
-        raise ValueError(f"{name} entries must be nonnegative")
     return a
 
 
@@ -124,7 +125,11 @@ def _same_points(delta, w, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dl, wt, pts = (np.shape(getattr(v, attr) if isinstance(v, kind) else v) for v, kind, attr in inputs)
     if len(pts) != 2 or not dl == wt == (pts[0], pts[0]):
         raise ValueError(f"delta {dl}, weights {wt} and configuration {pts} disagree")
-    return tuple(getattr(v if isinstance(v, kind) else kind(v), attr) for v, kind, attr in inputs)
+    dl, wt, pts = (getattr(v if isinstance(v, kind) else kind(v), attr) for v, kind, attr in inputs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or 0·inf ends in a sum refused here
+        if not np.isfinite(np.sum(wt * dl**2)):
+            raise ValueError("the stress at the origin, sum(weights * delta**2) / 2, must be finite")
+    return dl, wt, pts
 
 
 def stress(delta, w, x) -> StressBreakdown:
@@ -146,9 +151,8 @@ def _laplacian(coef: np.ndarray) -> np.ndarray:
 
 
 def _b(dl: np.ndarray, wt: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    d = _distances(pts)
-    k = np.zeros_like(d)
-    np.divide(1.0, d, out=k, where=d > 0)
+    k = _distances(pts)
+    np.divide(1.0, k, out=k, where=k > 0)  # 1/d where d > 0; elsewhere d is 0, as a checked x has no NaN d
     return _laplacian(wt * dl * k)
 
 
@@ -187,9 +191,9 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     from 40 points on.
 
     Each step turns one scratch matrix into η(C - B(X)) in place: 1/d with 0
-    on the diagonal, times w·δ, plus C off the diagonal, C_ii minus the row
-    sum on it, times η: the arithmetic of ``eta * descent_operator`` (1/d
-    where d > 0, else 0) in the same order, unless two points coincide.
+    on the diagonal, times w·δ, plus C, the row sum taken off the diagonal
+    (0 + C_ii is C_ii), times η: the arithmetic of ``eta * descent_operator``
+    (1/d where d > 0, else 0) in the same order, unless two points coincide.
     Their 1/d = inf makes the new stress NaN, and a step whose stress is not
     finite is redone from the previous X with the masked 1/d, so the trace
     equals the public operators' bit for bit, diverging runs included.  The
@@ -202,11 +206,7 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     dl, wt, x = _same_points(delta, w, x0)
-    with np.errstate(over="ignore"):  # an overflow is refused below, before any step
-        c, wdl = _laplacian(wt), wt * dl
-    if not (np.isfinite(c).all() and np.isfinite(wdl).all()):
-        raise ValueError("weights * delta and the weights' row sums must be finite")
-    c_diag = c.diagonal()
+    c, wdl = _laplacian(wt), wt * dl
     step, resid, diff, xt = np.empty_like(c), np.empty_like(c), np.empty((x.shape[1],) + c.shape), np.empty(x.T.shape)
     left, right, d, step_diag = xt[:, :, None], xt[:, None, :], diff[0], step.reshape(-1)[:: len(step) + 1]  # views
 
@@ -231,7 +231,7 @@ def mds_optimize(delta, w, x0, eta: float = 0.05, max_iters: int = 200,
             step_diag.fill(0.0)  # the reference's k_ii = 0, so w_ii·δ_ii·k_ii rounds alike
         rowsum = reduce(mul(step, wdl, step), 1)
         add(step, c, step)
-        sub(c_diag, rowsum, step_diag)
+        sub(step_diag, rowsum, step_diag)
         new = np.dot(mul(step, eta, step), x)
         return sub(x, new, new)
 

@@ -9,6 +9,26 @@ from qdescent.poly import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Point, TensorDecom
 # property tests draw the same examples on every run, so tier-1 stays deterministic
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=60)
 settings.load_profile("tier1")
+# the same examples and more of them, for a run outside tier-1: pytest --hypothesis-profile long
+settings.register_profile("long", settings.get_profile("tier1"), max_examples=2000)
+
+
+def _off_diagonal(n, delta, weight):
+    """n points whose delta and weights are one value each off the diagonal."""
+    off = np.ones((n, n)) - np.eye(n)
+    return delta * off, weight * off
+
+
+# (delta, weights, message): pairs that overflow the stress arithmetic, each with its refusal
+OVERFLOW_PAIRS = {
+    "two-points-1e308": (*_off_diagonal(2, 1e308, 1e308),
+                         "the stress at the origin, sum(weights * delta**2) / 2, must be finite"),
+    "three-points-weights-1e308": (*_off_diagonal(3, 1.0, 1e308),
+                                   "weights entries must be finite, and so must their row sums"),
+    # w·δ = 1e300 is finite, w·δ² is not
+    "delta-1e200-weights-1e100": (*_off_diagonal(4, 1e200, 1e100),
+                                  "the stress at the origin, sum(weights * delta**2) / 2, must be finite"),
+}
 
 
 def random_symmetric_unitary(rng, n):

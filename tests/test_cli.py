@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_applications
+from conftest import OVERFLOW_PAIRS, count_applications
 from qdescent import cli, experiment, lcu, sim
 from qdescent.cli import main
 from qdescent.mds import distances
@@ -300,12 +300,14 @@ def test_mds_input_validation(square_delta_file, tmp_path, capsys):
     ("--x0", np.zeros((3, 2)), "weights (4, 4) and configuration (3, 2) disagree"),
     ("--weights", np.eye(4) - 1.0, "weights entries must be nonnegative"),
     ("--x0", np.full((4, 2), np.inf), "configuration entries must be finite"),
-    ("--weights", 1e308 * (np.ones((4, 4)) - np.eye(4)), "weights * delta and the weights' row sums must be finite"),
+    ("--weights", 1e308 * (np.ones((4, 4)) - np.eye(4)), "weights entries must be finite, and so must their row sums"),
 ], ids=["weights-3", "x0-3", "weights-negative", "x0-inf", "weights-row-sum-overflow"])
 def test_mds_weights_and_x0_files_are_checked_by_the_optimizer(flag, matrix, message, tmp_path, capsys):
     path = tmp_path / "input.csv"
     np.savetxt(path, matrix, delimiter=",")
-    assert main(["mds", "--delta", str(GOLDEN / "square.csv"), flag, str(path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        assert main(["mds", "--delta", str(GOLDEN / "square.csv"), flag, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
@@ -473,14 +475,19 @@ def test_mds_start_past_the_float_range_names_the_start(tmp_path, capsys):
 
 
 def test_mds_weights_times_delta_past_the_float_range_exits_1_without_a_warning(tmp_path, capsys):
-    huge = tmp_path / "huge.json"
-    huge.write_text("[[0, 1e308], [1e308, 0]]")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy overflow warning would raise here
-        assert main(["mds", "--delta", str(huge), "--weights", str(huge), "--format", "json"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: weights * delta and the weights' row sums must be finite\n"
+    # the refusal names the weights or delta, which no --x0 or --eta can mend
+    for name, (delta, w, message) in OVERFLOW_PAIRS.items():
+        argv = ["mds", "--format", "json"]
+        for flag, matrix in (("--delta", delta), ("--weights", w)):
+            path = tmp_path / f"{name}{flag}.json"
+            path.write_text(json.dumps(matrix.tolist()))
+            argv += [flag, str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise here
+            assert main(argv) == 1, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--weights", "--x0"])
@@ -698,6 +705,15 @@ def test_pauli_factor_past_qubit_cap_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Pauli string needs 21 qubits (cap 20)\n"
+
+
+def test_noise_past_10_work_qubits_exits_1(tmp_path, capsys):
+    problem = tmp_path / "eleven_work_qubits.json"
+    problem.write_text(json.dumps({"dim": 2**11, "p": 1, "terms": [[{"pauli": "X" * 11}]]}))
+    assert main(["optimize", "--problem", str(problem), "--x0", ",".join(["1"] * 2**11), "--noise", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the noise round's density matrix needs 4^11 entries (cap 2^20)\n"
 
 
 def test_mds_without_embedding_columns_exits_1(capsys):

@@ -552,6 +552,39 @@ def test_optimize_rejects_noise_outside_unit_interval(eps):
         optimize(benchmark(), Point.normalized([0.86, 0.50]), eta=0.5, noise_eps=eps)
 
 
+def work_qubits(n_work):
+    """A one-string problem whose working register has n_work qubits, and a start point."""
+    return (TensorDecomposition(dim=2**n_work, order_p=1, terms=[["X" * n_work]], prefactor=1.0),
+            Point.normalized(np.ones(2**n_work)))
+
+
+def test_the_noise_round_past_10_work_qubits_is_refused_before_any_allocation():
+    # one 2^11 x 2^11 complex density matrix is 64 MiB, past the statevector cap's 2^20 entries
+    decomp, x0 = work_qubits(11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=re.escape("density matrix needs 4^11 entries (cap 2^20)")):
+            optimize(decomp, x0, noise_eps=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x0.coords.nbytes  # not one vector of the point's size
+
+
+class _Reached(Exception):
+    """Raised by the first coefficient pass: optimize got past its entry checks."""
+
+
+@pytest.mark.parametrize("n_work, eps", [(10, 0.1), (11, 0.0)])
+def test_the_noise_bound_leaves_10_work_qubits_and_noiseless_runs(n_work, eps, monkeypatch):
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(poly, "coefficients", reached)
+    with pytest.raises(_Reached):
+        optimize(*work_qubits(n_work), noise_eps=eps)
+
+
 def test_noise_is_rescued_by_purification():
     # global depolarizing noise keeps the dominant eigenvector, so the purified
     # trajectory coincides with the exact one while fidelity drops below 1

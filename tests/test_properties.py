@@ -3,6 +3,8 @@
 
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +12,23 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
+from conftest import OVERFLOW_PAIRS, aligned, kron_pauli, random_decomposition, random_point, random_symmetric_unitary
 from qdescent import lcu, sim
 from qdescent.errors import DegenerateStepError, PostselectionError, PurificationError
 from qdescent.lcu import RegisterLayout, estimate_b, optimize, run_iteration
-from qdescent.mds import Configuration, Dissimilarities, Weights, distances, lcu_column_demo, mds_optimize, stress
+from qdescent.mds import (
+    Configuration,
+    Dissimilarities,
+    Weights,
+    b_matrix,
+    c_matrix,
+    d_matrix,
+    descent_operator,
+    distances,
+    lcu_column_demo,
+    mds_optimize,
+    stress,
+)
 from qdescent import poly
 from qdescent.poly import (
     PAULI_I,
@@ -283,6 +297,16 @@ def test_non_finite_input_is_rejected_at_every_boundary(bad, seed):
     for check in checks:
         with pytest.raises(ValueError):
             check()
+    for delta, w, message in OVERFLOW_PAIRS.values():  # finite entries whose stress arithmetic overflows
+        x = rng.standard_normal((len(delta), 2))
+        calls = [lambda f=f: f(delta, w, x) for f in (mds_optimize, stress, lcu_column_demo, b_matrix, d_matrix,
+                                                       descent_operator)]
+        if message.startswith("weights"):  # c_matrix takes the weights alone
+            calls.append(lambda: c_matrix(w))
+        for call in calls:
+            with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                warnings.simplefilter("error")
+                call()
 
 
 def typed_noise_round(y, n_work, eps, x):
