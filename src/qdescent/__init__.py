@@ -1,7 +1,7 @@
 """Sphere-constrained polynomial descent through a simulated quantum pipeline."""
 
 from .errors import CapacityError, DegenerateStepError, PostselectionError, PurificationError
-from .experiment import ExperimentConfig, benchmark_decomposition, objective_theta, overlap, run_case
+from .experiment import ExperimentConfig, benchmark_decomposition, objective_theta, run_case
 from .lcu import (
     IterationOutcome,
     IterationRecord,
@@ -48,7 +48,6 @@ from .sim import (
     apply_unitary,
     depolarize,
     fidelity,
-    measure_sample,
     postselect,
     purify,
     to_density,

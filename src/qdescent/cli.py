@@ -54,6 +54,7 @@ def _json_numbers(value, field: str):
 
 
 def _load_matrix(path: str, flag: str) -> np.ndarray:
+    ragged = f"{flag} file {path} has rows of unequal length"
     if path.endswith(".json"):
         with open(path) as fh:
             rows = _json_numbers(json.load(fh), f"{flag} entry")
@@ -61,9 +62,14 @@ def _load_matrix(path: str, flag: str) -> np.ndarray:
             return np.asarray(rows, dtype=float)
         except OverflowError as exc:
             raise ValueError(f"{flag} entry past the float range: {exc}") from exc
+        except ValueError as exc:  # every entry is a number, so only the nesting can disagree
+            raise ValueError(ragged) from exc
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"; refused below
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:  # numpy's message for a short row names its `usecols`, which the CLI lacks
+            raise ValueError(ragged) if "number of columns changed" in str(exc) else exc
     if not rows.size:
         raise ValueError(f"{flag} file {path} holds no numbers")
     return rows

@@ -55,13 +55,6 @@ def objective_theta(theta: float) -> float:
     return -2.0 * math.sin(theta) ** 3 * math.cos(theta)
 
 
-def overlap(a: Point, b: Point) -> float:
-    """Inner product of two points."""
-    if a.dim != b.dim:
-        raise ValueError("points must share a dimension")
-    return float(a.coords @ b.coords)
-
-
 def run_case(case: str, shots: int | None = None, noise_eps: float = 0.0, seed: int | None = None, *,
              eta: float = ExperimentConfig.eta, threshold: float = ExperimentConfig.threshold,
              max_iters: int = ExperimentConfig.max_iters) -> list[lcu.IterationRecord]:
@@ -72,7 +65,7 @@ def run_case(case: str, shots: int | None = None, noise_eps: float = 0.0, seed: 
         raise ValueError(f"unknown case {case!r}: expected 's1' or 's2'")
     start = lcu.IterationRecord(
         iteration=0, point=x0, f_value=evaluate_objective(DECOMP, x0), success_prob=None,
-        overlap=overlap(x0, X_OPT), fidelity=None, label="start",
+        overlap=float(x0.coords @ X_OPT.coords), fidelity=None, label="start",
     )
     return [start] + lcu.optimize(
         DECOMP, x0, eta=eta, threshold=threshold, max_iters=max_iters, shots=shots, seed=seed,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcu
-from .poly import PauliStrings, _check_positive, _pauli_digits, apply_factors
+from .poly import PauliStrings, Point, _check_positive, _pauli_digits, apply_factors
 
 _DEMO_ETA = 0.05  # the column demo's step
 
@@ -110,11 +110,12 @@ def distances(x) -> np.ndarray:
 
 
 def _distances(pts: np.ndarray) -> np.ndarray:
-    diff = pts.T[:, :, None] - pts.T[:, None, :]
-    np.square(diff, out=diff)
-    d = diff[0]
-    for sq in diff[1:]:
-        d += sq
+    with np.errstate(over="ignore"):  # a distance past the float range reads inf, as in mds_optimize's trace
+        diff = pts.T[:, :, None] - pts.T[:, None, :]
+        np.square(diff, out=diff)
+        d = diff[0]
+        for sq in diff[1:]:
+            d += sq
     return np.sqrt(d, out=d)
 
 
@@ -291,15 +292,10 @@ def lcu_column_demo(delta, w, x) -> ColumnDemoResult:
     digits, weights = _pauli_digits(dmat)  # kept in sorted label order
     if not len(weights):
         raise ValueError("D(X) is zero; nothing to demonstrate")
-    col = pts[:, 0]
-    norm = np.linalg.norm(col)
-    if norm < 1e-12:
-        raise ValueError("first column has zero norm")
-    unit = col / norm
+    unit = Point.normalized(pts[:, 0]).coords
     table = _pauli_table(digits.shape, digits.tobytes())
     images = apply_factors(table, unit)
     vec, prob = lcu.run_lcu_step(images, weights, unit, _DEMO_ETA)
-    classical = unit - _DEMO_ETA * dmat @ unit
-    classical = classical / np.linalg.norm(classical)
+    classical = Point.normalized(unit - _DEMO_ETA * dmat @ unit).coords
     return ColumnDemoResult(labels=list(table.labels), weights=weights, quantum_point=vec, classical_point=classical,
                             success_prob=prob, max_abs_diff=float(np.max(np.abs(vec - classical))))

@@ -46,8 +46,9 @@ class UnitaryFactor:
             raise ValueError("factor entries must be finite")
         if not np.any(m.imag):
             m = np.ascontiguousarray(m.real)
-        if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= 1e-10:
-            raise ValueError("factor is not unitary within 1e-10")
+        with np.errstate(over="ignore", invalid="ignore"):  # entries past 1 in modulus: an inf or NaN, refused here
+            if not np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= 1e-10:
+                raise ValueError("factor is not unitary within 1e-10")
         object.__setattr__(self, "matrix", m)
 
     @property

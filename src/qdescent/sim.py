@@ -123,35 +123,6 @@ def postselect(state: QState, qubits: list[int], outcome: list[int]) -> tuple[QS
     return QState(state.num_qubits - len(qubits), kept), prob
 
 
-def marginal_probabilities(state: QState, qubits: list[int]) -> np.ndarray:
-    """Exact marginal distribution over the listed qubits (most significant first)."""
-    _check_targets(state.num_qubits, qubits)
-    tensor = np.abs(state.amps.reshape([2] * state.num_qubits)) ** 2
-    keep = list(qubits)
-    others = tuple(k for k in range(state.num_qubits) if k not in keep)
-    summed = tensor.sum(axis=others) if others else tensor
-    # remaining axes follow increasing qubit index; reorder to match `qubits`
-    sorted_keep = sorted(keep)
-    perm = [sorted_keep.index(k) for k in keep]
-    return np.transpose(summed, perm).reshape(-1)
-
-
-def measure_sample(state: QState, qubits: list[int], seed: int | None, shots: int) -> dict[str, int]:
-    """Multinomial sample of the exact marginal over the listed qubits.
-
-    Returns {bitstring: count} with zero-count outcomes omitted; deterministic
-    for a fixed seed.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = marginal_probabilities(state, qubits)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    width = len(qubits)
-    return {format(i, f"0{width}b"): int(n) for i, n in enumerate(counts) if n > 0}
-
-
 def to_density(state: QState) -> DensityMatrix:
     """|psi><psi| of a pure state."""
     a = state.amps

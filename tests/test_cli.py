@@ -1,4 +1,6 @@
 import json
+import shutil
+import subprocess
 import warnings
 from pathlib import Path
 
@@ -293,6 +295,12 @@ def test_mds_input_validation(square_delta_file, tmp_path, capsys):
     wrong.write_text("0,1,1\n1,0,1\n1,1,0\n")
     assert main(["mds", "--delta", square_delta_file, "--weights", str(wrong)]) == 1
     capsys.readouterr()
+    for name, text in (("ragged.json", "[[0, 1, 2], [1, 0]]"), ("ragged.csv", "0,1,2\n1,0,1\n2,1\n")):
+        ragged = tmp_path / name
+        ragged.write_text(text)
+        assert main(["mds", "--delta", str(ragged)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --delta file {ragged} has rows of unequal length\n"
 
 
 @pytest.mark.parametrize("flag, matrix, message", [
@@ -372,6 +380,18 @@ def test_output_bytes_match_golden(name, capsys):
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / f"{name}.out").read_text()
     assert captured.err == ""
+
+
+@pytest.mark.skipif(shutil.which("qdescent") is None, reason="no qdescent console script on PATH")
+def test_console_script_output_bytes_match_golden():
+    # every golden case through the installed entry point, each in a process of its own: the exit code,
+    # stdout byte for byte, and nothing on stderr, so a warning leaked at import or exit fails too
+    inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
+    for name, case in GOLDEN_CASES.items():
+        done = subprocess.run(["qdescent", *(inputs.get(arg, arg) for arg in case["argv"])],
+                              capture_output=True, text=True)
+        got = done.returncode, done.stdout, done.stderr
+        assert got == (case["exit"], (GOLDEN / f"{name}.out").read_text(), ""), name
 
 
 def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
@@ -722,6 +742,9 @@ def test_mds_without_embedding_columns_exits_1(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"\nerror: argument --dim: must be a positive integer, not '{dim}'\n")
+    argv = ["mds", "--delta", str(GOLDEN / "square.csv"), "--seed", "1", "--dim", "3", "--max-iters", "5"]
+    assert main([*argv, "--format", "json"]) == 2  # the budget runs out
+    assert {len(row) for row in json.loads(capsys.readouterr().out)["coordinates"]} == {3}
 
 
 @pytest.mark.parametrize("command", ["optimize", "estimate-coeffs"])

@@ -12,7 +12,6 @@ from qdescent.experiment import (
     ExperimentConfig,
     benchmark_decomposition,
     objective_theta,
-    overlap,
     overlap_table_csv,
     run_case,
 )
@@ -64,20 +63,6 @@ def test_config_points_are_unit_norm():
     for p in (STARTS["s1"], STARTS["s2"], X_OPT):
         assert np.isclose(np.linalg.norm(p.coords), 1.0, atol=1e-12)
     assert np.isclose(evaluate_objective(DECOMP, X_OPT), -3 * SQ3 / 8, atol=1e-12)
-
-
-def test_overlap_values():
-    assert np.isclose(overlap(X_OPT, X_OPT), 1.0, atol=1e-14)
-    e0, e1 = Point(np.array([1.0, 0.0])), Point(np.array([0.0, 1.0]))
-    assert overlap(e0, e1) == 0.0
-    assert np.isclose(overlap(STARTS["s2"], X_OPT), 0.8675356778901935, atol=1e-12)
-
-
-def test_overlap_dimension_check():
-    a = Point(np.array([1.0, 0.0]))
-    b = Point(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        overlap(a, b)
 
 
 def test_both_cases_converge_within_budget():

@@ -325,6 +325,12 @@ def test_iteration_matches_classical_step():
         out = run_iteration(d, x, eta=1.0)
         assert np.allclose(out.next_point.coords, expect.coords, atol=1e-10)
         checked += 1
+    # Y maps a real point to an imaginary one: the circuit and the classical step both refuse it
+    y_only, x = TensorDecomposition(dim=2, order_p=1, terms=[["Y"]]), Point.normalized([0.6, 0.8])
+    with pytest.raises(ValueError, match="post-selected state is not real"):
+        run_iteration(y_only, x, eta=1.0)
+    with pytest.raises(ValueError, match="descent direction is not real"):
+        classical_iterate(y_only, x, eta=1.0)
 
 
 def test_success_probability_law():
@@ -365,6 +371,10 @@ def test_fixed_point_probability():
 def test_degenerate_step_raises():
     with pytest.raises(DegenerateStepError):
         run_iteration(identity_problem(), Point.normalized([1.0, 0.0]), eta=1.0)
+    # x - (1 + 1e-9)x leaves beta*sqrt(P) = 1e-9, past the degenerate bound, and P about 2.5e-19
+    x = np.array([1.0, 0.0])
+    with pytest.raises(PostselectionError, match="all-zero ancilla outcome has probability 2.5"):
+        run_lcu_step(poly.apply_factors(PauliStrings(["I"]), x), np.array([1.0 + 1e-9]), x, eta=1.0)
 
 
 def test_sampled_iteration_state_is_exact():

@@ -209,6 +209,15 @@ def test_optimize_from_an_overflowing_start_warns_nothing():
     # the start's squared distances overflow; pytest turns a numpy RuntimeWarning into an error
     trace = mds_optimize(square_delta(), Weights.uniform(4), 1e200 * (SQUARE + 1.0))
     assert trace[0][1] == np.inf
+    # every public function reads such distances as inf, as the trace does
+    delta, w = square_delta(), Weights.uniform(4)
+    for x in (1e200 * SQUARE, 1e306 * SQUARE):
+        assert np.array_equal(distances(x) == np.inf, ~np.eye(4, dtype=bool))
+        assert stress(delta, w, x).total == np.inf
+        assert np.array_equal(b_matrix(delta, w, x), np.zeros((4, 4)))
+        assert np.array_equal(d_matrix(delta, w, x), c_matrix(w))
+        assert np.array_equal(descent_operator(delta, w, x), c_matrix(w))
+        assert lcu_column_demo(delta, w, x).max_abs_diff <= 1e-10
 
 
 def test_optimize_validates_eta():
@@ -382,6 +391,10 @@ def test_column_demo_rejects_bad_inputs():
         lcu_column_demo(distances(TRIANGLE), Weights.uniform(3), TRIANGLE)
     with pytest.raises(ValueError, match="power-of-two point count of at least 2"):
         lcu_column_demo(np.zeros((1, 1)), np.zeros((1, 1)), [[1.0]])
+    with pytest.raises(ValueError, match="D\\(X\\) is zero"):
+        lcu_column_demo(distances(SQUARE), np.zeros((4, 4)), SQUARE)
+    with pytest.raises(ValueError, match="cannot normalize a zero or non-finite vector"):
+        lcu_column_demo(distances(SQUARE), Weights.uniform(4), SQUARE * [0.0, 1.0])
 
 
 def demo_instance(seed: int, n: int = 16):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -52,6 +53,8 @@ def contract(tensor, x):
 def test_unitary_factor_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryFactor(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not unitary"):  # without an overflow warning
+        UnitaryFactor(np.diag([1e308, 1.0]))
     for empty in (np.zeros((0, 0)), []):
         with pytest.raises(ValueError, match="non-empty square matrix"):
             UnitaryFactor(empty)
@@ -83,6 +86,10 @@ def test_factor_pass_rows_are_real_for_real_dense_factors():
         assert (cs.c @ cs.images).dtype == np.float64
     _, ys = poly._factor_pass(benchmark(), np.array([0.6, 0.8]))
     assert ys.dtype == np.complex128
+    # a unitary that is not Hermitian can give a real point a complex quadratic form, 0.36 + 0.64j here
+    phase = TensorDecomposition(dim=2, order_p=1, terms=[[UnitaryFactor(np.diag([1.0, 1j]))]])
+    with pytest.raises(ValueError, match="quadratic form has a non-negligible imaginary part"):
+        poly._factor_pass(phase, np.array([0.6, 0.8]))
 
 
 def test_real_dense_factor_round_trips_as_float64():
@@ -99,6 +106,8 @@ def test_point_requires_unit_norm():
     assert np.isclose(np.linalg.norm(p.coords), 1.0)
     with pytest.raises(ValueError, match="cannot normalize a zero or non-finite vector"):
         Point.normalized([0.0, 0.0])
+    with pytest.raises(ValueError, match="point must be a 1-D real vector"):
+        Point(np.array([[1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("coords, unit", [
@@ -140,6 +149,10 @@ def test_decomposition_shape_validation():
     for dim in (0, -1):  # refused before the width check, which would name the factors
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             TensorDecomposition(dim=dim, order_p=1, terms=[["X"]], prefactor=1.0)
+    with pytest.raises(ValueError, match="need at least one term"):
+        TensorDecomposition(dim=2, order_p=1, terms=[], prefactor=1.0)
+    with pytest.raises(ValueError, match="order p must be >= 1"):
+        TensorDecomposition(dim=2, order_p=0, terms=[[]], prefactor=1.0)
 
 
 def test_expand_identity_single_factor():
@@ -181,6 +194,8 @@ def test_objective_benchmark_values():
         x = np.array([np.cos(theta), np.sin(theta)])
         expected = -2.0 * np.sin(theta) ** 3 * np.cos(theta)
         assert abs(evaluate_objective(d, x) - expected) <= 1e-12
+    with pytest.raises(ValueError, match=re.escape("point dimension (3,) does not match decomposition dim 2")):
+        evaluate_objective(d, np.array([1.0, 0.0, 0.0]))
 
 
 def test_coefficients_at_diagonal_point():
@@ -330,6 +345,8 @@ def test_json_malformed_inputs():
         decomposition_from_dict({"dim": 2, "p": 2, "terms": [[{"pauli": "X"}]]})
     with pytest.raises(ValueError):
         decomposition_from_dict({"dim": 2, "p": 1, "terms": [[{"dense": [[1, 0]]}]]})
+    with pytest.raises(ValueError, match="decomposition needs a non-empty 'terms' list"):
+        decomposition_from_dict({"dim": 2, "p": 1, "terms": []})
 
 
 def test_pauli_decompose_round_trip():

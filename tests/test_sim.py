@@ -11,8 +11,6 @@ from qdescent.sim import (
     apply_unitary,
     depolarize,
     fidelity,
-    marginal_probabilities,
-    measure_sample,
     postselect,
     purify,
     to_density,
@@ -26,6 +24,8 @@ def test_zero_state_and_norm_validation():
     assert np.allclose(s.amps, [1, 0, 0, 0])
     with pytest.raises(ValueError):
         QState(1, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="amplitude count must be 2"):
+        QState(1, np.array([1.0, 0.0, 0.0]))
 
 
 def test_qubit_guard():
@@ -53,6 +53,8 @@ def test_apply_rejects_non_unitary_and_bad_targets():
         apply_unitary(s, np.eye(2), [2])
     with pytest.raises(ValueError):
         apply_unitary(s, np.eye(4), [0, 0])
+    with pytest.raises(ValueError, match="unitary dimension must be 2"):
+        apply_unitary(s, np.eye(4), [0])
 
 
 def test_most_significant_first_ordering():
@@ -76,6 +78,8 @@ def test_cnot():
 def test_controlled_overlap_rejected():
     with pytest.raises(ValueError):
         apply_controlled(QState.zero(2), X, [0], [1], [0])
+    with pytest.raises(ValueError, match="pattern length must match control count"):
+        apply_controlled(QState.zero(2), X, [0], [1, 0], [1])
 
 
 def test_select_register_drives_summed_branches():
@@ -122,32 +126,8 @@ def test_postselect_probability_is_exact_subspace_weight():
 def test_postselect_zero_probability():
     with pytest.raises(PostselectionError):
         postselect(QState.zero(1), [0], [1])
-
-
-def test_measure_sample_deterministic_and_exact_for_basis_state():
-    s = QState.zero(2)
-    counts = measure_sample(s, [0, 1], seed=42, shots=100)
-    assert counts == {"00": 100}
-    again = measure_sample(s, [0, 1], seed=42, shots=100)
-    assert counts == again
-
-
-def test_measure_sample_plus_state_frequency():
-    plus = apply_unitary(QState.zero(1), HADAMARD, [0])
-    counts = measure_sample(plus, [0], seed=7, shots=10**6)
-    freq = counts["0"] / 10**6
-    assert abs(freq - 0.5) <= 0.002  # 4 sigma of a fair binomial at 1e6 shots
-
-
-def test_marginal_ordering():
-    # P(q1, q0) should transpose P(q0, q1)
-    rng = np.random.default_rng(3)
-    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    amps /= np.linalg.norm(amps)
-    s = QState(2, amps)
-    p01 = marginal_probabilities(s, [0, 1])
-    p10 = marginal_probabilities(s, [1, 0])
-    assert np.allclose(p01.reshape(2, 2).T.reshape(-1), p10)
+    with pytest.raises(ValueError, match="outcome length must match qubit count"):
+        postselect(QState.zero(2), [0], [0, 1])
 
 
 def test_norm_preserved_by_random_circuits():
@@ -168,6 +148,8 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.array([[0.9, 0.0], [0.0, 0.2]]))
     with pytest.raises(ValueError, match="must be positive semidefinite within 1e-10"):
         DensityMatrix(2, np.array([[1.2, 0.0], [0.0, -0.2]]))
+    with pytest.raises(ValueError, match="entries must be dim x dim"):
+        DensityMatrix(3, np.eye(2) / 2)
 
 
 def test_depolarize_endpoints():
@@ -185,6 +167,8 @@ def test_fidelity_reference_values():
     assert np.isclose(fidelity(zero, one), 0.0)
     # tr(rho1 rho2) = 0.75, purities 1 and 0.625
     assert np.isclose(fidelity(zero, depolarize(zero, 0.5)), 0.75 / np.sqrt(0.625), atol=1e-12)
+    with pytest.raises(ValueError, match="density matrices must share a dimension"):
+        fidelity(zero, to_density(QState.zero(2)))
 
 
 def test_fidelity_closed_form_pure_depolarized():
