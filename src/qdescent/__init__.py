@@ -41,16 +41,6 @@ from .poly import (
     expand_coefficients,
     pauli_decompose,
 )
-from .sim import (
-    DensityMatrix,
-    QState,
-    apply_controlled,
-    apply_unitary,
-    depolarize,
-    fidelity,
-    postselect,
-    purify,
-    to_density,
-)
+from .sim import QState, apply_controlled, apply_unitary, postselect
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 
@@ -40,9 +41,12 @@ def _load_problem(path: str) -> poly.TensorDecomposition:
 
 
 def _parse_point(text: str, dim: int) -> poly.Point:
-    vals = [float(tok) for tok in text.replace(",", " ").split()]
+    try:
+        vals = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ValueError(f"--x0 {text!r} is not a comma-separated list of numbers") from exc
     if len(vals) != dim:
-        raise ValueError(f"x0 needs {dim} components, got {len(vals)}")
+        raise ValueError(f"--x0 needs {dim} components, got {len(vals)}")
     return poly.Point.normalized(vals)
 
 
@@ -69,7 +73,7 @@ def _load_matrix(path: str, flag: str) -> np.ndarray:
         try:
             rows = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:  # numpy's message for a short row names its `usecols`, which the CLI lacks
-            raise ValueError(ragged) if "number of columns changed" in str(exc) else exc
+            raise ValueError(ragged if "number of columns changed" in str(exc) else f"{flag} file {path}: {exc}")
     if not rows.size:
         raise ValueError(f"{flag} file {path} holds no numbers")
     return rows
@@ -293,6 +297,18 @@ _HANDLERS = {
 _parser: argparse.ArgumentParser | None = None
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with "--flag -0.6,0.8" as "--flag=-0.6,0.8": argparse takes a value that begins with "-" for a flag
+    unless it is a plain negative number, and no flag of this CLI begins with "-" and a digit or "."."""
+    out: list[str] = []
+    for arg in argv:
+        if out and re.match(r"-[\d.]", arg) and re.fullmatch(r"--[\w-]+", out[-1]) and not "--help".startswith(out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     # the parser is built on the first call, not at import, and reused: parse_args leaves it
     # unchanged, and help reads the terminal width and sys.stdout when it prints
@@ -300,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -235,10 +235,8 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
     is exact either way.  With noise_eps > 0 the post-selected working state is depolarized,
     purified back to a pure point, and the purified point carries the iteration; its
     fidelity against the exact state is recorded.  Its 2^n_work x 2^n_work density matrix
-    may hold at most 2^sim.MAX_QUBITS entries, so the noise needs n_work <= 10.
-    That round runs unchecked on the arrays the loop has made, through sim's kernels and in
-    the order of the checked chain QState, to_density, depolarize, fidelity, purify, whose
-    bytes it gives.  Overlap columns are filled when a reference point is given.
+    may hold at most 2^sim.MAX_QUBITS entries, so the noise needs n_work <= 10; the round
+    is sim._noise_round.  Overlap columns are filled when a reference point is given.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -252,8 +250,6 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
         raise CapacityError(f"the noise round's density matrix needs 4^{n_work} entries (cap 2^{sim.MAX_QUBITS})")
     records: list[IterationRecord] = []
     x = x0
-    d = 2**n_work
-    mixed = np.eye(d) / d if noise_eps > 0 else None  # I/d, which the noise blends in
     rng = None if shots is None else np.random.default_rng(seed)
     coeffs = poly.coefficients(decomp, x)
     for t in range(1, max_iters + 1):
@@ -262,13 +258,7 @@ def optimize(decomp: TensorDecomposition, x0: Point, eta: float = 1.0,
             raise PostselectionError(f"no post-selection success in {shots} shots (p={prob:.3e})")
         fid = None
         if noise_eps > 0:  # the density matrix, and so the purified point, is the same for +-y
-            amps = np.zeros(d, dtype=complex)
-            amps[: decomp.dim] = y
-            rho = np.outer(amps, amps.conj())
-            noisy = (1.0 - noise_eps) * rho + noise_eps * mixed
-            fid = sim._fidelity(rho, noisy)
-            recovered = sim._dominant(noisy)[: decomp.dim]
-            y = recovered / math.sqrt(recovered @ recovered)
+            y, fid = sim._noise_round(y, noise_eps, 2**n_work)
         if float(y @ x.coords) < 0:
             y = -y
         step = y - x.coords

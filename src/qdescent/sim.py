@@ -45,28 +45,6 @@ class QState:
         return cls(num_qubits, a)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A mixed state: Hermitian, trace one, positive semidefinite (to 1e-10)."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError("entries must be dim x dim")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("density matrix must be Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ValueError("density matrix must have unit trace within 1e-10")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite within 1e-10")
-        object.__setattr__(self, "entries", m)
-
-
 def _check_targets(q: int, targets: list[int]) -> None:
     if len(set(targets)) != len(targets):
         raise ValueError("target qubits must be distinct")
@@ -123,50 +101,24 @@ def postselect(state: QState, qubits: list[int], outcome: list[int]) -> tuple[QS
     return QState(state.num_qubits - len(qubits), kept), prob
 
 
-def to_density(state: QState) -> DensityMatrix:
-    """|psi><psi| of a pure state."""
-    a = state.amps
-    return DensityMatrix(dim=a.shape[0], entries=np.outer(a, a.conj()))
-
-
-def depolarize(rho: DensityMatrix, eps: float) -> DensityMatrix:
-    """(1 - eps) rho + eps I/dim."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    mixed = np.eye(rho.dim) / rho.dim
-    return DensityMatrix(dim=rho.dim, entries=(1.0 - eps) * rho.entries + eps * mixed)
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """tr(a b) / sqrt(tr(a^2) tr(b^2)) of two density matrices (checked _fidelity)."""
-    if a.dim != b.dim:
-        raise ValueError("density matrices must share a dimension")
-    return _fidelity(a.entries, b.entries)
-
-
-def _fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """fidelity's arithmetic on two square arrays the caller vouches are Hermitian, where tr(ab) is the
-    Frobenius product Re vdot(a, b) and tr(a^2) is vdot(a, a): O(d^2), no matrix product."""
-    return float(np.vdot(a, b).real / math.sqrt(np.vdot(a, a).real * np.vdot(b, b).real))
-
-
-def purify(rho: DensityMatrix) -> np.ndarray:
-    """Dominant eigenvector of a density matrix as a real unit vector (checked _dominant).
-
-    The phase is fixed so the largest-magnitude component is real positive;
-    remaining imaginary parts are discarded and the vector renormalized.
-    Raises when the top eigenvalue is degenerate (gap < 1e-10).
-    """
-    return _dominant(rho.entries)
-
-
-def _dominant(m: np.ndarray) -> np.ndarray:
-    """purify's eigh, degeneracy check and phase fix, on an array the caller vouches is Hermitian."""
-    vals, vecs = np.linalg.eigh(m)
-    if m.shape[0] > 1 and vals[-1] - vals[-2] < 1e-10:
+def _noise_round(y: np.ndarray, eps: float, d: int) -> tuple[np.ndarray, float]:
+    """Depolarize y, zero-padded to d entries, and purify it back: with rho = |y><y| and
+    noisy = (1 - eps) rho + eps I/d, the dominant eigenvector of noisy (phase fixed so its largest
+    component is real positive, cut to len(y), renormalized) and the fidelity tr(rho noisy) /
+    sqrt(tr rho^2 tr noisy^2), each trace of two Hermitian matrices an O(d^2) Frobenius product
+    Re vdot(a, b).  A degenerate top eigenvalue (gap < 1e-10, as at eps = 1 for d > 1) raises
+    PurificationError; the caller vouches for y, eps in [0, 1] and d >= len(y)."""
+    amps = np.zeros(d, dtype=complex)
+    amps[: len(y)] = y
+    rho = np.outer(amps, amps.conj())
+    noisy = (1.0 - eps) * rho + eps * (np.eye(d) / d)
+    fid = float(np.vdot(rho, noisy).real / math.sqrt(np.vdot(rho, rho).real * np.vdot(noisy, noisy).real))
+    vals, vecs = np.linalg.eigh(noisy)
+    if d > 1 and vals[-1] - vals[-2] < 1e-10:
         raise PurificationError(f"top eigenvalue degenerate (gap {vals[-1] - vals[-2]:.3e})")
     v = vecs[:, -1]
     lead = np.argmax(np.abs(v))
     phase = v[lead] / abs(v[lead])
     v = np.ascontiguousarray((v / phase).real)  # as np.linalg.norm makes it before its dot
-    return v / math.sqrt(v @ v)
+    v = (v / math.sqrt(v @ v))[: len(y)]
+    return v / math.sqrt(v @ v), fid

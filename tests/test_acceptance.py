@@ -212,8 +212,7 @@ def test_criterion_9_noise_workflow():
         assert abs(rows[-1].overlap) >= 0.99, f"{case} overlap {rows[-1].overlap}"
         details.append(f"{case}: {iters} iters, overlap {rows[-1].overlap:.4f}")
     final = run_case("s2")[-1].point.coords
-    rho = sim.to_density(sim.QState(1, final.astype(complex)))
-    self_f = sim.fidelity(rho, rho)
+    _, self_f = sim._noise_round(final, 0.0, 2)
     assert abs(self_f - 1.0) <= 1e-12, f"F(exact, exact) = {self_f}"
     fids = []
     for eps in (0.02, 0.05, 0.1, 0.2):

@@ -24,6 +24,9 @@ from qdescent.cli import main
 ORDINARY = st.floats(0.0, 4.0)
 # huge, tiny, negative and non-finite entries
 ODD = st.sampled_from([0.0, -1.0, 1e308, -1e308, 1e200, 1e100, 5e-324, 1e-300, math.nan, math.inf, -math.inf])
+# odd flag values: a NaN, numbers past the float range or below its normal one, literals that int or float
+# reads only in part or not at all, an Arabic-Indic digit one, and the empty string
+ODD_FLAG = st.sampled_from(["nan", "1e400", "5e-324", "0x10", "1_0", "١", ""])
 
 
 @st.composite
@@ -48,7 +51,8 @@ def matrices(draw, rows: int, cols: int, pair: bool):
 
 @st.composite
 def mds_runs(draw):
-    """({flag: matrix}, {flag: "csv" or "json"}, the other arguments) for one ``qdescent mds`` run."""
+    """({flag: matrix}, {flag: "csv" or "json"}, the other arguments) for one ``qdescent mds`` run, at most one
+    of --eta, --tol, --max-iters, --dim and --seed with an odd value."""
     n = draw(st.integers(1, 4))
     size = st.one_of(st.just(n), st.integers(1, 5))  # another size disagrees with delta
     files = {"--delta": draw(matrices(n, n, pair=True))}
@@ -58,10 +62,14 @@ def mds_runs(draw):
     if draw(st.booleans()):
         files["--x0"] = draw(matrices(draw(size), draw(st.integers(1, 3)), pair=False))
     formats = {flag: draw(st.sampled_from(["csv", "json"])) for flag in files}
-    args = ["--max-iters", str(draw(st.integers(1, 8))), "--format", draw(st.sampled_from(["csv", "json"]))]
+    flags = {"--max-iters": str(draw(st.integers(1, 8)))}
     if "--x0" not in files:
-        args += ["--seed", str(draw(st.integers(0, 3)))]
-    return files, formats, args
+        flags["--seed"] = str(draw(st.integers(0, 3)))
+    odd = draw(st.sampled_from([None, None, "--eta", "--tol", "--max-iters", "--dim", "--seed"]))
+    if odd is not None:
+        flags[odd] = draw(ODD_FLAG)
+    args = [token for pair in flags.items() for token in pair]
+    return files, formats, [*args, "--format", draw(st.sampled_from(["csv", "json"]))]
 
 
 def write(path, rows, fmt: str) -> None:
@@ -132,9 +140,6 @@ def test_mds_meets_the_cli_contract(run, folder):
 # odd JSON values for a problem field: booleans, strings, null, nested lists, huge, negative and fractional numbers
 ODD_JSON = st.sampled_from([True, False, "2", "", None, [], [2], [[1]], {}, 10**400, 1e308, -1e308, math.inf, math.nan,
                             -2, 0, 1, 3, 0.5, 2.5, 5e-324])
-# odd flag values: a NaN, numbers past the float range or below its normal one, literals that int or float
-# reads only in part or not at all, an Arabic-Indic digit one, and the empty string
-ODD_FLAG = st.sampled_from(["nan", "1e400", "5e-324", "0x10", "1_0", "١", ""])
 
 
 def malformed_factor(draw, qubits: int):
@@ -195,7 +200,8 @@ def problem_runs(draw):
         flags.update({"--eta": ["0.5", "1", "0.25"], "--threshold": ["1e-3", "0.5"], "--noise": ["0", "0.05"],
                       "--format": ["csv", "json"]})
     if command != "repro":
-        flags.update({"--shots": ["1", "64"], "--x0": ["0.6,0.8", "1,0", "0.5,0.5,0.5,0.5", "1e200,-1,1e-200,0"]})
+        flags.update({"--shots": ["1", "64"], "--x0": ["0.6,0.8", "1,0", "-0.6,0.8", "0.5,0.5,0.5,0.5",
+                                                        "1e200,-1,1e-200,0", "-1,1e-200,0,1"]})
     odd = draw(st.sampled_from([None, None, *flags]))
     args = [command]
     for name, ordinary in flags.items():

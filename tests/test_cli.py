@@ -295,12 +295,16 @@ def test_mds_input_validation(square_delta_file, tmp_path, capsys):
     wrong.write_text("0,1,1\n1,0,1\n1,1,0\n")
     assert main(["mds", "--delta", square_delta_file, "--weights", str(wrong)]) == 1
     capsys.readouterr()
-    for name, text in (("ragged.json", "[[0, 1, 2], [1, 0]]"), ("ragged.csv", "0,1,2\n1,0,1\n2,1\n")):
-        ragged = tmp_path / name
-        ragged.write_text(text)
-        assert main(["mds", "--delta", str(ragged)]) == 1
+    for name, text, tail in (
+        ("ragged.json", "[[0, 1, 2], [1, 0]]", " has rows of unequal length"),
+        ("ragged.csv", "0,1,2\n1,0,1\n2,1\n", " has rows of unequal length"),
+        ("letter.csv", "0,x\n", ": could not convert string 'x' to float64 at row 0, column 2."),
+    ):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["mds", "--delta", str(bad)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: --delta file {ragged} has rows of unequal length\n"
+        assert captured.out == "" and captured.err == f"error: --delta file {bad}{tail}\n"
 
 
 @pytest.mark.parametrize("flag, matrix, message", [
@@ -535,20 +539,20 @@ def test_estimate_coeffs_makes_one_factor_pass(argv, monkeypatch, capsys):
 
 def test_noisy_repro_builds_no_checked_state_and_one_factor_pass_per_point(monkeypatch, capsys):
     # the loop's noise round runs on arrays it has made and normalized itself; the checked
-    # types stay the entry points of the public functions, which still validate
-    built = {sim.QState: 0, sim.DensityMatrix: 0}
-    for cls in built:
-        def counted(self, cls=cls, check=cls.__post_init__):
-            built[cls] += 1
-            check(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    # QState stays the entry point of sim's gate-level functions, which still validate
+    built, check = [], sim.QState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+    monkeypatch.setattr(sim.QState, "__post_init__", counted)
     applied = count_applications(monkeypatch)
     assert main(["repro", "--case", "s1", "--mode", "sampled", "--noise", "0.05", "--seed", "3"]) == 0
     out = capsys.readouterr().out
-    assert built == {sim.QState: 0, sim.DensityMatrix: 0}
+    assert built == []
     assert applied == [4] * (json.loads(out[out.index("\n{") + 1:])["s1"]["iterations"] + 1)
-    sim.fidelity(sim.to_density(sim.QState.zero(1)), sim.to_density(sim.QState.zero(1)))
-    assert built == {sim.QState: 2, sim.DensityMatrix: 2}
+    sim.QState.zero(1)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -561,14 +565,30 @@ def test_noisy_repro_builds_no_checked_state_and_one_factor_pass_per_point(monke
     (["repro", "--shots", "10"], "unrecognized arguments: --shots 10"),
     (["optimize", "--problem", "{problem}", "--x0", "0.86,0.50", "--eta", "0"], "eta must be positive and finite"),
     (["repro", "--eta", "-1"], "eta must be positive and finite"),
+    (["repro", "--eta", "-1e-3"], "eta must be positive and finite"),
+    (["estimate-coeffs", "--problem", "{problem}", "--x0", "0x10"],
+     "--x0 '0x10' is not a comma-separated list of numbers"),
 ], ids=["repro-noise-negative", "repro-noise-nan", "optimize-noise-above-one", "mds-iters-zero",
-        "mds-iters-negative", "repro-shots", "optimize-eta-zero", "repro-eta-negative"])
+        "mds-iters-negative", "repro-shots", "optimize-eta-zero", "repro-eta-negative", "repro-eta-exponent",
+        "estimate-coeffs-x0-hex"])
 def test_out_of_range_input_exits_1(argv, message, capsys):
     inputs = {"{problem}": str(GOLDEN / "problem.json"), "{square}": str(GOLDEN / "square.csv")}
     assert main([inputs.get(arg, arg) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert captured.err.splitlines()[-1] == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["optimize", "estimate-coeffs"])
+def test_x0_that_begins_with_a_minus_runs_without_an_equals_sign(command, capsys):
+    # argparse takes "-0.6,0.8" for a flag, not a negative number; the CLI hands it to --x0
+    def run(*x0):
+        code = main([command, "--problem", str(GOLDEN / "problem.json"), *x0])
+        return code, *capsys.readouterr()
+
+    joined = run("--x0=-0.6,0.8")
+    assert joined[0] == 0 and joined[2] == ""
+    assert run("--x0", "-0.6,0.8") == joined
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,7 +30,7 @@ from qdescent.poly import (
     factor_matrices,
     pauli_decompose,
 )
-from qdescent.sim import DensityMatrix, QState
+from qdescent.sim import QState
 
 SQ3 = math.sqrt(3.0)
 
@@ -122,11 +122,10 @@ def test_normalized_takes_vectors_whose_squares_leave_the_float_range(coords, un
     (Point, "coords", np.array([1.0, 0.0])),
     (UnitaryFactor, "matrix", np.array([[1.0, 0.0], [0.0, 1j]])),
     (lambda a: QState(1, a), "amps", np.array([1.0, 0.0], dtype=complex)),
-    (lambda a: DensityMatrix(2, a), "entries", np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)),
     (Dissimilarities, "delta", np.array([[0.0, 1.0], [1.0, 0.0]])),
     (Weights, "w", np.array([[0.0, 1.0], [1.0, 0.0]])),
     (Configuration, "coords", np.array([[0.0, 1.0], [1.0, 0.0]])),
-], ids=["Point", "UnitaryFactor", "QState", "DensityMatrix", "Dissimilarities", "Weights", "Configuration"])
+], ids=["Point", "UnitaryFactor", "QState", "Dissimilarities", "Weights", "Configuration"])
 def test_checked_values_keep_their_own_copy(make, attr, raw):
     value = make(raw)
     before = getattr(value, attr).copy()

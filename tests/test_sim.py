@@ -3,18 +3,7 @@ import pytest
 
 from conftest import random_orthogonal
 from qdescent.errors import CapacityError, PostselectionError, PurificationError
-from qdescent.sim import (
-    HADAMARD,
-    DensityMatrix,
-    QState,
-    apply_controlled,
-    apply_unitary,
-    depolarize,
-    fidelity,
-    postselect,
-    purify,
-    to_density,
-)
+from qdescent.sim import HADAMARD, QState, _noise_round, apply_controlled, apply_unitary, postselect
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -141,43 +130,29 @@ def test_norm_preserved_by_random_circuits():
         assert abs(np.sum(np.abs(s.amps) ** 2) - 1.0) <= 1e-12
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError, match="must be Hermitian within 1e-10"):
-        DensityMatrix(2, np.array([[0.5, 0.1], [0.2, 0.5]]))
-    with pytest.raises(ValueError, match="must have unit trace within 1e-10"):
-        DensityMatrix(2, np.array([[0.9, 0.0], [0.0, 0.2]]))
-    with pytest.raises(ValueError, match="must be positive semidefinite within 1e-10"):
-        DensityMatrix(2, np.array([[1.2, 0.0], [0.0, -0.2]]))
-    with pytest.raises(ValueError, match="entries must be dim x dim"):
-        DensityMatrix(3, np.eye(2) / 2)
-
-
 def test_depolarize_endpoints():
-    rho = to_density(QState.zero(1))
-    assert np.allclose(depolarize(rho, 0.0).entries, rho.entries)
-    assert np.allclose(depolarize(rho, 1.0).entries, np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        depolarize(rho, 1.5)
+    # eps = 0 keeps the point and its fidelity; eps = 1 leaves I/d, whose top eigenvalue is degenerate
+    rec, fid = _noise_round(np.array([0.6, -0.8]), 0.0, 2)
+    assert np.allclose(rec, [-0.6, 0.8], atol=1e-15) and fid == 1.0
+    with pytest.raises(PurificationError, match="top eigenvalue degenerate"):
+        _noise_round(np.array([0.6, 0.8]), 1.0, 2)
 
 
 def test_fidelity_reference_values():
-    zero = to_density(QState.zero(1))
-    one = to_density(QState(1, np.array([0.0, 1.0])))
-    assert np.isclose(fidelity(zero, zero), 1.0)
-    assert np.isclose(fidelity(zero, one), 0.0)
-    # tr(rho1 rho2) = 0.75, purities 1 and 0.625
-    assert np.isclose(fidelity(zero, depolarize(zero, 0.5)), 0.75 / np.sqrt(0.625), atol=1e-12)
-    with pytest.raises(ValueError, match="density matrices must share a dimension"):
-        fidelity(zero, to_density(QState.zero(2)))
+    zero = np.array([1.0, 0.0])
+    assert _noise_round(zero, 0.0, 2)[1] == 1.0
+    # tr(rho noisy) = 0.75, purities 1 and 0.625
+    assert np.isclose(_noise_round(zero, 0.5, 2)[1], 0.75 / np.sqrt(0.625), atol=1e-12)
+    # I/d spreads over the padded entries too: d = 4 for a 3-entry point, purity 0.4375
+    assert np.isclose(_noise_round(np.array([1.0, 0.0, 0.0]), 0.5, 4)[1], 0.625 / np.sqrt(0.4375), atol=1e-12)
 
 
 def test_fidelity_closed_form_pure_depolarized():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(16)
     v /= np.linalg.norm(v)
-    rho = to_density(QState(4, v.astype(complex)))
     eps, dim = 0.1, 16
-    got = fidelity(rho, depolarize(rho, eps))
+    _, got = _noise_round(v, eps, dim)
     num = (1 - eps) + eps / dim
     den = np.sqrt((1 - eps) ** 2 + 2 * (1 - eps) * eps / dim + eps**2 / dim)
     assert np.isclose(got, num / den, atol=1e-12)
@@ -185,27 +160,35 @@ def test_fidelity_closed_form_pure_depolarized():
 
 def test_purify_recovers_pure_and_depolarized_states():
     rng = np.random.default_rng(6)
-    v = rng.standard_normal(8)
-    v /= np.linalg.norm(v)
-    rho = to_density(QState(3, v.astype(complex)))
-    rec = purify(rho)
-    assert np.allclose(rec, v * np.sign(v @ rec), atol=1e-10)
-    rec2 = purify(depolarize(rho, 0.2))
-    assert np.allclose(rec2, v * np.sign(v @ rec2), atol=1e-10)
+    for n, d in [(8, 8), (3, 4), (5, 8)]:  # padded when n is not a power of two
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        for eps in (0.0, 0.2):
+            rec, _ = _noise_round(v, eps, d)
+            assert rec.shape == (n,)
+            assert np.allclose(rec, v * np.sign(v @ rec), atol=1e-10)
+
+
+@pytest.mark.parametrize("y", [[-0.8, 0.6], [0.6, -0.8], [0.0, -1.0], [-1.0]])
+def test_purify_makes_the_largest_component_real_and_positive(y):
+    rec, _ = _noise_round(np.array(y), 0.2, len(y))
+    assert rec[np.argmax(np.abs(rec))] > 0 and np.allclose(np.abs(rec), np.abs(y), atol=1e-12)
 
 
 def test_purify_diagonal_and_degenerate():
-    rho = DensityMatrix(2, np.diag([0.6, 0.4]).astype(complex))
-    assert np.allclose(purify(rho), [1.0, 0.0])
-    with pytest.raises(PurificationError):
-        purify(DensityMatrix(2, np.eye(2, dtype=complex) / 2))
+    rec, _ = _noise_round(np.array([1.0, 0.0]), 0.2, 2)  # diag(0.9, 0.1)
+    assert np.allclose(rec, [1.0, 0.0])
+    with pytest.raises(PurificationError, match="top eigenvalue degenerate"):
+        _noise_round(np.array([1.0, 0.0]), 1.0 - 1e-11, 2)  # gap 1e-11, under 1e-10
+    rec, fid = _noise_round(np.array([1.0]), 1.0, 1)  # d = 1: one eigenvalue, nothing to tell apart
+    assert rec.tolist() == [1.0] and fid == 1.0
 
 
 def test_density_round_trip():
     rng = np.random.default_rng(7)
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    rec = purify(to_density(QState(2, v.astype(complex))))
+    rec, _ = _noise_round(v, 0.0, 4)
     assert np.allclose(rec, v * np.sign(v @ rec), atol=1e-10)
 
 
@@ -213,11 +196,3 @@ def test_density_round_trip():
 def test_qstate_rejects_non_finite_amplitudes(amps):
     with pytest.raises(ValueError, match="finite"):
         QState(1, np.array(amps, dtype=complex))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_density_matrix_rejects_non_finite_entries(bad):
-    m = np.eye(2, dtype=complex) / 2
-    m[1, 1] = bad
-    with pytest.raises(ValueError, match="finite"):
-        DensityMatrix(2, m)
